@@ -65,11 +65,12 @@ bool BlockTerminal(const std::vector<LStmtPtr>& block) {
   return false;
 }
 
-// Deterministic expression evaluation over a slot frame: the exact mirror
-// of FastExecution::Eval minus tracing (the analytic engines never run
-// under a trace sink) and minus interface calls (rejected by the analysis
-// in deterministic positions). Shares ApplyBinary / ApplyUnary /
-// ApplyBuiltin with both interpreters, so values are bit-identical.
+// Deterministic expression evaluation over a slot frame: the tree walk's
+// Execution::Eval over lowered expressions, minus tracing (the analytic
+// engines never run under a trace sink) and minus interface calls (rejected
+// by the analysis in deterministic positions). Shares ApplyBinary /
+// ApplyUnary / ApplyBuiltin with both interpreters, so values are
+// bit-identical.
 Result<Value> EvalDet(const LExpr& e, const std::vector<Value>& frame) {
   switch (e.kind) {
     case LExprKind::kConst:
@@ -112,7 +113,7 @@ Result<Value> EvalDet(const LExpr& e, const std::vector<Value>& frame) {
         ECLARITY_ASSIGN_OR_RETURN(Value v, EvalDet(*child, frame));
         args.push_back(std::move(v));
       }
-      return ApplyBuiltin(e.call_src->callee, args, e.call_src->string_args,
+      return ApplyBuiltin(e.builtin, args, e.call_src->string_args,
                           e.context);
     }
     case LExprKind::kCall:
@@ -121,12 +122,13 @@ Result<Value> EvalDet(const LExpr& e, const std::vector<Value>& frame) {
   return InternalError("unknown expression kind");
 }
 
-// Resolved support for one draw, mirroring FastExecution::ExecEcv's
-// resolution order: profile override first, then static error, static
-// support, dynamic parameters. All values and probabilities are produced by
-// the same code paths the interpreters use (EcvSupport::Bernoulli / Make),
-// so they are bit-identical. Failures here are anomalies — the enumeration
-// fallback reproduces the precise status and message.
+// Resolved support for one draw, mirroring the bytecode engine's ECV
+// resolution order (kEcvBegin onward): profile override first, then static
+// error, static support, dynamic parameters. All values and probabilities
+// are produced by the same code paths the interpreters use
+// (EcvSupport::Bernoulli / Make), so they are bit-identical. Failures here
+// are anomalies — the enumeration fallback reproduces the precise status
+// and message.
 Result<const EcvSupport*> ResolveSupport(const LStmt& stmt,
                                          const EcvProfile& profile,
                                          const EvalOptions& options,

@@ -222,7 +222,7 @@ class SamplingDrawer : public LaneDrawer {
 };
 
 // ---------------------------------------------------------------------------
-// The vector interpreter: FastExecution's statement walk over columns.
+// The vector interpreter: the scalar engines' statement walk over columns.
 //
 // Correctness rests on two rules: (1) abort (`return false`) the moment the
 // pass cannot be proven bit-identical to running every lane alone on the
@@ -468,7 +468,7 @@ class VectorExec {
           for (size_t i = 0; i < argc; ++i) {
             args[i] = cols[i].uniform;
           }
-          Result<Value> r = ApplyBuiltin(e.call_src->callee, args,
+          Result<Value> r = ApplyBuiltin(e.builtin, args,
                                          e.call_src->string_args, e.context);
           if (!r.ok()) {
             return false;
@@ -483,7 +483,7 @@ class VectorExec {
           for (size_t i = 0; i < argc; ++i) {
             args[i] = LaneValue(cols[i], l);
           }
-          Result<Value> r = ApplyBuiltin(e.call_src->callee, args,
+          Result<Value> r = ApplyBuiltin(e.builtin, args,
                                          e.call_src->string_args, e.context);
           if (!r.ok()) {
             return false;

@@ -1,10 +1,4 @@
-// Builtin functions available inside EIL interfaces.
-//
-//   min(a,b)  max(a,b)  clamp(x,lo,hi)   — numbers or concrete energies
-//   abs(x) floor(x) ceil(x) round(x)     — numbers (abs also on energies)
-//   pow(x,y) log(x) log2(x) exp(x) sqrt(x) — numbers
-//   au("name")        — 1 abstract energy unit called "name"
-//   au("name", k)     — k abstract units
+// Evaluation of the builtin functions declared in src/lang/builtin.h.
 
 #ifndef ECLARITY_SRC_EVAL_BUILTINS_H_
 #define ECLARITY_SRC_EVAL_BUILTINS_H_
@@ -12,14 +6,15 @@
 #include <string>
 #include <vector>
 
+#include "src/lang/builtin.h"
 #include "src/lang/value.h"
 #include "src/util/status.h"
 
 namespace eclarity {
 
-// Applies builtin `name` to already-evaluated arguments. `string_args`
-// carries string literals (only `au` uses them). `context` prefixes errors.
-Result<Value> ApplyBuiltin(const std::string& name,
+// Applies `builtin` to already-evaluated arguments. `string_args` carries
+// string literals (only `au` uses them). `context` prefixes errors.
+Result<Value> ApplyBuiltin(Builtin builtin,
                            const std::vector<Value>& args,
                            const std::vector<std::string>& string_args,
                            const std::string& context);

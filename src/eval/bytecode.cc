@@ -432,9 +432,8 @@ class BytecodeCompiler {
         }
         const uint16_t argc = static_cast<uint16_t>(e.children.size());
         if (e.kind == LExprKind::kBuiltin) {
-          p_->builtin_sites_.push_back({e.call_src, &e.context, e.line,
-                                        e.column,
-                                        e.call_src->callee == "au"});
+          p_->builtin_sites_.push_back(
+              {e.builtin, e.call_src, &e.context, e.line, e.column});
           Emit({BcOp::kBuiltin, 0, dst, rbase, argc,
                 static_cast<uint32_t>(p_->builtin_sites_.size() - 1)});
         } else if (!e.call_error.ok()) {
@@ -763,13 +762,13 @@ Result<Value> BytecodeInterpreter::RunImpl() {
         builtin_scratch_.assign(regs_.begin() + base_ + in.b,
                                 regs_.begin() + base_ + in.b + in.c);
         Result<Value> result =
-            ApplyBuiltin(site.call->callee, builtin_scratch_,
-                         site.call->string_args, *site.ctx);
+            ApplyBuiltin(site.id, builtin_scratch_, site.call->string_args,
+                         *site.ctx);
         if (!result.ok()) {
           return result.status();
         }
         // au(...) mints abstract energy: an energy term for the trace.
-        if (trace_ != nullptr && site.is_au) {
+        if (trace_ != nullptr && site.id == Builtin::kAu) {
           EmitTerm(*trace_, bc_.ifaces_[cur_iface_].src->decl->name,
                    result.value(), site.line, site.column, depth_,
                    path_index_);
@@ -997,73 +996,13 @@ Result<Value> BytecodeInterpreter::RunImpl() {
 template Result<Value> BytecodeInterpreter::RunImpl<false>();
 template Result<Value> BytecodeInterpreter::RunImpl<true>();
 
-static_assert(static_cast<size_t>(BcOp::kEcvDrawBranch) < kVmOpCount,
-              "grow kVmOpCount (src/eval/vm_profile.h) with the BcOp enum");
-
 const char* VmOpName(uint8_t op) {
-  switch (static_cast<BcOp>(op)) {
-    case BcOp::kConst:
-      return "kConst";
-    case BcOp::kConstTerm:
-      return "kConstTerm";
-    case BcOp::kMove:
-      return "kMove";
-    case BcOp::kUnary:
-      return "kUnary";
-    case BcOp::kBinary:
-      return "kBinary";
-    case BcOp::kFoldChain:
-      return "kFoldChain";
-    case BcOp::kJump:
-      return "kJump";
-    case BcOp::kAndShort:
-      return "kAndShort";
-    case BcOp::kOrShort:
-      return "kOrShort";
-    case BcOp::kBoolCast:
-      return "kBoolCast";
-    case BcOp::kCondJump:
-      return "kCondJump";
-    case BcOp::kBranch:
-      return "kBranch";
-    case BcOp::kStep:
-      return "kStep";
-    case BcOp::kFail:
-      return "kFail";
-    case BcOp::kBuiltin:
-      return "kBuiltin";
-    case BcOp::kCall:
-      return "kCall";
-    case BcOp::kReturn:
-      return "kReturn";
-    case BcOp::kForPrep:
-      return "kForPrep";
-    case BcOp::kForNext:
-      return "kForNext";
-    case BcOp::kForIncJump:
-      return "kForIncJump";
-    case BcOp::kEcvBegin:
-      return "kEcvBegin";
-    case BcOp::kEcvStatic:
-      return "kEcvStatic";
-    case BcOp::kEcvBaked:
-      return "kEcvBaked";
-    case BcOp::kEcvCatOpen:
-      return "kEcvCatOpen";
-    case BcOp::kEcvCatPush:
-      return "kEcvCatPush";
-    case BcOp::kEcvDynBern:
-      return "kEcvDynBern";
-    case BcOp::kEcvDynUniform:
-      return "kEcvDynUniform";
-    case BcOp::kEcvDynCat:
-      return "kEcvDynCat";
-    case BcOp::kEcvDraw:
-      return "kEcvDraw";
-    case BcOp::kEcvDrawBranch:
-      return "kEcvDrawBranch";
-  }
-  return "op?";
+  static constexpr const char* kNames[] = {
+#define ECLARITY_BC_OP_NAME(name) #name,
+      ECLARITY_BC_OPS(ECLARITY_BC_OP_NAME)
+#undef ECLARITY_BC_OP_NAME
+  };
+  return op < kVmOpCount ? kNames[op] : "op?";
 }
 
 }  // namespace eclarity

@@ -1,6 +1,6 @@
 // Register bytecode for energy interfaces.
 //
-// The third execution engine (see DESIGN.md, "Bytecode VM"): LoweredProgram
+// The default execution engine (see DESIGN.md, "Bytecode VM"): LoweredProgram
 // is compiled once into a flat register-based instruction buffer — constant
 // pool, pre-resolved call targets (direct code offsets instead of
 // LoweredInterface* chasing), pre-rendered error statuses, and
@@ -16,13 +16,13 @@
 // from the already-lowered IR without re-lowering and never block readers.
 //
 // Parity contract: the bytecode engine is observationally identical to the
-// tree walk and the lowered-tree fast path — same values, probability bits,
-// draw order, error codes *and messages*, and byte-identical trace events
-// (tests/fastpath_test.cc, tests/bytecode_test.cc, and the differential
-// harness hold the line). Compilation is total for every program the
-// lowerer accepts except degenerate register pressure (> 65535 live
-// registers in one interface), where Compile() fails and the evaluator
-// transparently falls back to the fast path, counting the fallback.
+// tree walk — same values, probability bits, draw order, error codes *and
+// messages*, and byte-identical trace events (tests/engine_parity_test.cc,
+// tests/bytecode_test.cc, and the differential harness hold the line).
+// Compilation is total for every program the lowerer accepts except
+// degenerate register pressure (> 65535 live registers in one interface),
+// where Compile() fails and the evaluator transparently falls back to the
+// tree walk, counting the fallback.
 
 #ifndef ECLARITY_SRC_EVAL_BYTECODE_H_
 #define ECLARITY_SRC_EVAL_BYTECODE_H_
@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/eval/bc_ops.h"
 #include "src/eval/ecv_profile.h"
 #include "src/eval/exec_common.h"
 #include "src/eval/interp.h"
@@ -43,44 +44,9 @@
 
 namespace eclarity {
 
-// One 12-byte instruction. `a` is the destination register, `b`/`c` are
-// operand registers or an argument base/count, `imm` indexes a pool or site
-// table or is an absolute jump target. Registers are frame-relative; slots
-// [0, frame_size) alias the lowered frame slots and expression temporaries
-// live above them.
-enum class BcOp : uint8_t {
-  kConst,         // regs[a] = const_pool[imm]
-  kConstTerm,     // regs[a] = pool[term.pool]; trace kEnergyTerm (term_sites)
-  kMove,          // regs[a] = regs[b]
-  kUnary,         // regs[a] = ApplyUnary(sub, regs[b], ctx_pool[imm])
-  kBinary,        // regs[a] = ApplyBinary(sub, regs[b], regs[c], ctx[imm])
-  kFoldChain,     // regs[a] = fold of c steps from fold_steps[imm] (superop)
-  kJump,          // pc = imm
-  kAndShort,      // !AsBool(regs[b]) ? regs[a]=false, pc=imm : fall through
-  kOrShort,       // AsBool(regs[b]) ? regs[a]=true, pc=imm : fall through
-  kBoolCast,      // regs[a] = Bool(AsBool(regs[b]))
-  kCondJump,      // conditional expr: !AsBool(regs[b]) -> pc = imm
-  kBranch,        // if stmt: wrapped AsBool, trace, !taken -> else target
-  kStep,          // ++steps > max_steps -> status_pool[imm]
-  kFail,          // return status_pool[imm]
-  kBuiltin,       // regs[a] = builtin(regs[b..b+c)); builtin_sites[imm]
-  kCall,          // regs[a] = call ifaces[imm](regs[b..b+c))
-  kReturn,        // return regs[a] from the current frame
-  kForPrep,       // regs[a]=bits(llround(AsNumber)), regs[b]=bits(... end)
-  kForNext,       // i>=hi -> pc=end; else budget, regs[c]=Number(i)
-  kForIncJump,    // ++i (bit-stored in regs[a]); pc = imm
-  kEcvBegin,      // profile override check; hit -> pc = draw target
-  kEcvStatic,     // cur support = lowered static support
-  kEcvBaked,      // cur support = baked_supports[site.baked] (specialized)
-  kEcvCatOpen,    // open a categorical accumulation level
-  kEcvCatPush,    // push (regs[b], AsNumber(regs[c])) onto the open level
-  kEcvDynBern,    // cur support = Bernoulli(AsNumber(regs[b]))
-  kEcvDynUniform, // cur support = uniform_int(regs[b], regs[c])
-  kEcvDynCat,     // cur support = Make(open level)
-  kEcvDraw,       // choose + trace + store slot (ecv_sites[imm])
-  kEcvDrawBranch, // kEcvDraw fused with an immediately-guarding if (superop)
-};
-
+// One 12-byte instruction (operands: see src/eval/bc_ops.h). Registers
+// are frame-relative; slots [0, frame_size) alias the lowered frame slots
+// and expression temporaries live above them.
 struct Instr {
   BcOp op = BcOp::kFail;
   uint8_t sub = 0;  // UnaryOp / BinaryOp payload
@@ -105,7 +71,7 @@ class BytecodeProgram {
   // Compiles every interface of `lowered`, which must outlive the result
   // (instructions reference lowered ECV metadata and pre-rendered operator
   // contexts in place). Fails only on register overflow; the caller is
-  // expected to fall back to the lowered-tree walk.
+  // expected to fall back to the tree walk.
   static Result<std::shared_ptr<const BytecodeProgram>> Compile(
       const LoweredProgram& lowered, const CompileOptions& options);
   static Result<std::shared_ptr<const BytecodeProgram>> Compile(
@@ -135,11 +101,11 @@ class BytecodeProgram {
     int column = 0;
   };
   struct BuiltinSite {
-    const CallExpr* call = nullptr;
+    Builtin id = Builtin::kMin;
+    const CallExpr* call = nullptr;  // string args
     const std::string* ctx = nullptr;
     int line = 0;
     int column = 0;
-    bool is_au = false;
   };
   struct BranchSite {
     std::string prefix;  // "in 'iface' at L:C: if condition: "
@@ -202,8 +168,8 @@ class BytecodeProgram {
 
 // One execution of a compiled program: a dispatch loop over a flat register
 // stack, with an explicit frame stack for nested interface calls. Mirrors
-// FastExecution observable-step for observable-step. Reusable across runs
-// (Reset()), like FastExecution — registers and frame storage are retained.
+// the tree walk's Execution observable-step for observable-step. Reusable
+// across runs (Reset()) — registers and frame storage are retained.
 class BytecodeInterpreter {
  public:
   BytecodeInterpreter(const BytecodeProgram& bc, const EvalOptions& options,

@@ -16,15 +16,16 @@
 //                       resolving abstract units through a calibration.
 //
 // Two execution engines implement the same semantics (see DESIGN.md,
-// "Evaluation fast path"):
+// "Execution engines"):
 //
-//   * kFastPath (default) — runs a lowered form of the program (eval/lower)
-//     with slot-indexed frames, pre-bound calls, folded constants, and an
-//     LRU cache over enumeration results. Observable behaviour — values,
-//     probabilities, draw order, error codes and messages — is identical to
-//     the tree walk.
-//   * kTreeWalk — the original AST interpreter, kept as the executable
-//     specification the fast path is tested against.
+//   * kBytecode (default) — compiles a lowered form of the program
+//     (eval/lower: slot-indexed frames, pre-bound calls, folded constants)
+//     to register bytecode (eval/bytecode). Observable behaviour — values,
+//     probabilities, draw order, error codes and messages, trace events —
+//     is identical to the tree walk.
+//   * kTreeWalk — the AST interpreter, kept as the executable specification
+//     the bytecode engine is tested against. It also serves programs whose
+//     bytecode compilation fails (register overflow).
 //
 // The interval/worst-case evaluator lives in interval.h; the shared AST and
 // value semantics keep the two consistent.
@@ -57,7 +58,6 @@ class TraceSink;
 class VmProfiler;
 
 enum class EvalEngine {
-  kFastPath,  // lowered IR + slot frames + enumeration cache
   kTreeWalk,  // reference AST interpreter
   kBytecode,  // lowered IR compiled to register bytecode (the default)
 };
@@ -89,8 +89,8 @@ struct EvalOptions {
   size_t max_paths = 200'000;
   // Guard on the size of a single ECV's support (e.g. wide uniform_int).
   size_t max_ecv_support = 4096;
-  // Which execution engine runs the program. All three produce identical
-  // results; kBytecode transparently falls back to kFastPath when the
+  // Which execution engine runs the program. Both produce identical
+  // results; kBytecode transparently falls back to the tree walk when the
   // program does not compile (see DESIGN.md, "Bytecode VM").
   EvalEngine engine = EvalEngine::kBytecode;
   // Capacity of the per-evaluator enumeration cache, in entries keyed by
@@ -103,9 +103,10 @@ struct EvalOptions {
   // structured events — interface enter/exit, ECV draws, branches, energy
   // terms, enumeration path markers — to the sink, bit-for-bit identically.
   // Tracing bypasses the enumeration cache (cached replays would emit no
-  // events) and, on the fast path, switches lowering to preserve-energy-terms
-  // mode. The sink must outlive the evaluator. nullptr (default) keeps
-  // evaluation at full speed: the engines only test this pointer.
+  // events) and, on the bytecode engine, switches lowering to
+  // preserve-energy-terms mode. The sink must outlive the evaluator.
+  // nullptr (default) keeps evaluation at full speed: the engines only test
+  // this pointer.
   TraceSink* trace = nullptr;
   // Distribution-evaluation mode for EvalCertified / EvalDistribution /
   // ExpectedEnergy. Tracing forces kEnumerate behaviour (the analytic
@@ -141,8 +142,8 @@ struct WeightedOutcome {
 
 class Evaluator {
  public:
-  // The program must outlive the evaluator. With the default fast-path
-  // engine the program is lowered here, once.
+  // The program must outlive the evaluator. With the default bytecode
+  // engine the program is lowered and compiled here, once.
   explicit Evaluator(const Program& program, EvalOptions options = {});
   ~Evaluator();
 

@@ -201,8 +201,9 @@ class Lowerer {
   }
 
   LExprPtr LowerCall(const CallExpr& call, bool in_const) {
-    if (IsBuiltinName(call.callee)) {
+    if (const std::optional<Builtin> builtin = LookupBuiltin(call.callee)) {
       LExprPtr e = New(LExprKind::kBuiltin, call);
+      e->builtin = *builtin;
       e->call_src = &call;
       e->context = Ctx(call.line, call.column);
       bool all_const = true;
@@ -212,14 +213,15 @@ class Lowerer {
       }
       // au(...) mints abstract energy — it is itself an energy term, so in
       // preserve mode it must stay live for the trace.
-      if (all_const && !(preserve_energy_terms_ && call.callee == "au")) {
+      if (all_const &&
+          !(preserve_energy_terms_ && *builtin == Builtin::kAu)) {
         std::vector<Value> args;
         args.reserve(e->children.size());
         for (const LExprPtr& child : e->children) {
           args.push_back(child->constant);
         }
         Result<Value> folded =
-            ApplyBuiltin(call.callee, args, call.string_args, e->context);
+            ApplyBuiltin(*builtin, args, call.string_args, e->context);
         if (folded.ok()) {
           return MakeConst(std::move(folded).value(), call);
         }

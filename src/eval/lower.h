@@ -1,12 +1,13 @@
-// Lowered form of an EIL program: the evaluation fast path's input.
+// Lowered form of an EIL program: the input of the bytecode compiler, the
+// SoA batch evaluator and the analytic engines.
 //
 // Lowering runs once per Evaluator and removes every per-execution cost that
 // is not genuinely dynamic:
 //
 //   * variable accesses become frame-slot indices (ResolveSlots in
 //     lang/checker supplies the symbol tables);
-//   * interface calls bind directly to the callee's LoweredInterface — no
-//     per-call name lookup;
+//   * interface calls bind directly to the callee's LoweredInterface and
+//     builtin calls to their Builtin — no per-call name lookup;
 //   * pure numeric / unit / boolean subexpressions are constant-folded;
 //   * ECV distributions with constant parameters get their support vectors
 //     built ahead of time (profile overrides still win at evaluation time);
@@ -30,6 +31,7 @@
 
 #include "src/eval/ecv_profile.h"
 #include "src/lang/ast.h"
+#include "src/lang/builtin.h"
 #include "src/lang/value.h"
 #include "src/util/status.h"
 
@@ -47,7 +49,7 @@ enum class LExprKind {
   kUnary,
   kBinary,
   kConditional,
-  kBuiltin,      // builtin call; name/string_args read from the AST node
+  kBuiltin,      // builtin call, resolved to its Builtin
   kCall,         // interface call, pre-bound to the callee
   kError,        // yields `error` when (and only when) evaluated
 };
@@ -68,11 +70,12 @@ struct LExpr {
   // Never set outside that mode, so the untraced hot path only ever sees
   // the flag false.
   bool is_energy_term = false;
+  Builtin builtin = Builtin::kMin;      // kBuiltin
   int slot = -1;                        // kSlot
   UnaryOp uop = UnaryOp::kNeg;          // kUnary
   BinaryOp bop = BinaryOp::kAdd;        // kBinary
   std::vector<LExprPtr> children;       // operands / call arguments
-  const CallExpr* call_src = nullptr;   // kBuiltin: callee name + string args
+  const CallExpr* call_src = nullptr;   // kBuiltin: string args
   const LoweredInterface* callee = nullptr;  // kCall (nullptr: unknown)
   Status call_error;                    // kCall: unknown callee / bad arity;
                                         // raised after the arguments evaluate
@@ -144,9 +147,9 @@ class LoweredProgram {
   // `preserve_energy_terms` is the tracing mode: energy literals lower to
   // kConst nodes flagged is_energy_term and are excluded from every fold
   // (including au(...) folding and static ECV support pre-resolution), so
-  // the fast path evaluates — and traces — each energy term at exactly the
-  // points the tree walk does. Values stay bit-identical either way, since
-  // runtime operators are the same functions the folder uses.
+  // the bytecode engine evaluates — and traces — each energy term at
+  // exactly the points the tree walk does. Values stay bit-identical either
+  // way, since runtime operators are the same functions the folder uses.
   static LoweredProgram Lower(const Program& program, size_t max_ecv_support,
                               bool preserve_energy_terms = false);
 

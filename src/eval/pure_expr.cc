@@ -42,7 +42,8 @@ Result<Value> EvalPureExpr(const Expr& expr,
     }
     case ExprKind::kCall: {
       const auto& call = static_cast<const CallExpr&>(expr);
-      if (!IsBuiltinName(call.callee)) {
+      const std::optional<Builtin> builtin = LookupBuiltin(call.callee);
+      if (!builtin) {
         return InvalidArgumentError("pure expressions cannot call interface '" +
                                     call.callee + "'");
       }
@@ -51,7 +52,7 @@ Result<Value> EvalPureExpr(const Expr& expr,
         ECLARITY_ASSIGN_OR_RETURN(Value v, EvalPureExpr(*a, env));
         args.push_back(std::move(v));
       }
-      return ApplyBuiltin(call.callee, args, call.string_args, "pure-expr");
+      return ApplyBuiltin(*builtin, args, call.string_args, "pure-expr");
     }
   }
   return InternalError("unknown expression kind");

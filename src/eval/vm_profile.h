@@ -29,17 +29,11 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/eval/bc_ops.h"
+
 namespace eclarity {
 
 class BytecodeProgram;
-
-// Upper bound on BcOp values; static_asserted against the real enum in
-// bytecode.cc so the two files cannot drift apart silently.
-inline constexpr size_t kVmOpCount = 32;
-
-// Display name for a BcOp raw value ("kFoldChain", ...); "op<N>" when out
-// of range. Defined in bytecode.cc next to the enum.
-const char* VmOpName(uint8_t op);
 
 struct VmLocalProfile {
   struct Site {

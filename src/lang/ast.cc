@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <set>
 
+#include "src/lang/builtin.h"
+
 namespace eclarity {
 
 const char* BinaryOpName(BinaryOp op) {
@@ -299,19 +301,11 @@ std::vector<std::string> Program::UnresolvedCallees() const {
   });
   std::vector<std::string> unresolved;
   for (const std::string& name : callees) {
-    if (!IsBuiltinName(name) && FindInterface(name) == nullptr) {
+    if (!LookupBuiltin(name) && FindInterface(name) == nullptr) {
       unresolved.push_back(name);
     }
   }
   return unresolved;
-}
-
-bool IsBuiltinName(const std::string& name) {
-  static const std::set<std::string>* kBuiltins = new std::set<std::string>{
-      "min", "max", "abs", "floor", "ceil", "round",
-      "pow", "log", "log2", "exp", "sqrt", "clamp", "au",
-  };
-  return kBuiltins->count(name) > 0;
 }
 
 ExprPtr MakeNumber(double value) { return std::make_unique<NumberLit>(value); }

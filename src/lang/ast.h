@@ -311,10 +311,6 @@ class Program {
   std::vector<ExternDecl> externs_;
 };
 
-// True for names in the builtin function table (min, max, abs, floor, ceil,
-// round, pow, log, log2, exp, sqrt, clamp, au).
-bool IsBuiltinName(const std::string& name);
-
 // ---------------------------------------------------------------------------
 // Construction helpers (used by generators and tests)
 // ---------------------------------------------------------------------------

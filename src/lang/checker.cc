@@ -3,6 +3,8 @@
 #include <map>
 #include <sstream>
 
+#include "src/lang/builtin.h"
+
 namespace eclarity {
 namespace {
 
@@ -90,8 +92,8 @@ class InterfaceChecker {
     for (const ExprPtr& arg : call.args) {
       CheckExpr(*arg, scope);
     }
-    if (IsBuiltinName(call.callee)) {
-      CheckBuiltinArity(call);
+    if (const std::optional<Builtin> builtin = LookupBuiltin(call.callee)) {
+      CheckBuiltinArity(call, *builtin);
       return;
     }
     const InterfaceDecl* callee = program_.FindInterface(call.callee);
@@ -123,22 +125,16 @@ class InterfaceChecker {
     }
   }
 
-  void CheckBuiltinArity(const CallExpr& call) {
-    const std::string& name = call.callee;
+  void CheckBuiltinArity(const CallExpr& call, Builtin builtin) {
+    const BuiltinArity arity = GetBuiltinArity(builtin);
     const size_t n = call.args.size();
-    bool ok = true;
-    if (name == "min" || name == "max" || name == "pow") {
-      ok = n == 2;
-    } else if (name == "clamp") {
-      ok = n == 3;
-    } else if (name == "au") {
-      ok = (n == 1 || n == 2) && call.string_args.size() == 1;
-    } else {  // abs/floor/ceil/round/log/log2/exp/sqrt
-      ok = n == 1;
+    bool ok = n >= arity.min_args && n <= arity.max_args;
+    if (builtin == Builtin::kAu) {
+      ok = ok && call.string_args.size() == 1;
     }
     if (!ok) {
       Report(call.line, call.column,
-             "wrong number of arguments to builtin '" + name + "'");
+             "wrong number of arguments to builtin '" + call.callee + "'");
     }
   }
 
@@ -457,7 +453,7 @@ std::set<std::string> TransitiveCallees(const Program& program,
     VisitExprs(decl->body, [&](const Expr& e) {
       if (e.kind == ExprKind::kCall) {
         const auto& call = static_cast<const CallExpr&>(e);
-        if (!IsBuiltinName(call.callee) && visited.count(call.callee) == 0) {
+        if (!LookupBuiltin(call.callee) && visited.count(call.callee) == 0) {
           frontier.push_back(call.callee);
         }
       }

@@ -6,12 +6,14 @@
 // This service makes that usage pattern first-class:
 //
 //   * Immutable snapshots, RCU-style. The checked program (with its
-//     lowered fast-path form) and the base ECV profile live in an
-//     atomically swappable std::shared_ptr<const Snapshot>. Readers
-//     acquire a snapshot with one atomic load and keep evaluating against
-//     it even while a writer publishes a new profile or program — the old
-//     snapshot stays valid until its last reader drops it, so profile
-//     updates never block queries.
+//     lowered and compiled forms) and the base ECV profile live in a
+//     std::shared_ptr<const Snapshot> that writers publish under a mutex,
+//     bumping a publish sequence afterwards. Readers keep a thread-local
+//     copy revalidated against that sequence, so acquisition is one atomic
+//     load while no swap happened; they keep evaluating against their
+//     snapshot even while a writer publishes a new profile or program —
+//     the old snapshot stays valid until its last reader drops it, so
+//     profile updates never block queries.
 //
 //   * Sharded exact-fold cache. Exact enumeration results are folded to a
 //     canonical (distribution, mean) pair at insert time and cached in a

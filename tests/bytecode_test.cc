@@ -1,8 +1,8 @@
 // Edge tests for the register bytecode VM (src/eval/bytecode.h) that the
 // engine-parity harnesses cannot see from the outside: constant-pool
 // deduplication, superinstruction fusion parity, register-frame reuse
-// across nested calls, and profile-swap respecialization rekeying the
-// query-service cache. Broad value/trace/error parity with the tree walk
+// across nested calls, profile-swap respecialization rekeying the
+// query-service cache, and the tree-walk fallback on register overflow. Broad value/trace/error parity with the tree walk
 // lives in tests/differential_test.cc and tests/eval_edge_test.cc.
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "src/eval/lower.h"
 #include "src/eval/vm_profile.h"
 #include "src/lang/parser.h"
+#include "src/obs/metrics.h"
 #include "src/svc/query_service.h"
 #include "tests/parity_programs.h"
 
@@ -287,6 +288,80 @@ interface f(x) {
 }
 
 // --- VM profiler -----------------------------------------------------------
+
+// One interface with more bindings than the VM's 16-bit register operands
+// can address: compilation fails, and the evaluator must serve the program
+// from the tree walk transparently — bit-identical answers, with the
+// fallback counted and the tree walk counted as the serving engine.
+TEST(BytecodeFallbackTest, RegisterOverflowFallsBackToTreeWalk) {
+  constexpr int kLets = 70000;
+  std::string source = "interface big(x) {\n";
+  for (int i = 0; i < kLets; ++i) {
+    const std::string n = std::to_string(i);
+    source += "  let v" + n + " = " + n + ";\n";
+  }
+  source += "  return x * v" + std::to_string(kLets - 1) + " * 1mJ;\n}\n";
+  // Entering `big` is rare, so sampling stays cheap on the tree walk.
+  source +=
+      "interface f(x) {\n"
+      "  ecv hit ~ bernoulli(0.05);\n"
+      "  return hit ? big(x) : 2J;\n"
+      "}\n";
+  const Program program = MustParse(source);
+
+  EvalOptions tree_options;
+  tree_options.engine = EvalEngine::kTreeWalk;
+  tree_options.mc_workers = 2;
+  const Evaluator tree(program, tree_options);
+
+  Counter& fallbacks = MetricsRegistry::Global().GetCounter(
+      "eclarity_eval_bytecode_fallback_total");
+  Counter& treewalk = MetricsRegistry::Global().GetCounter(
+      "eclarity_eval_engine_treewalk_total");
+  const uint64_t fallbacks_before = fallbacks.value();
+  const uint64_t treewalk_before = treewalk.value();
+  EvalOptions bytecode_options;
+  bytecode_options.engine = EvalEngine::kBytecode;
+  bytecode_options.mc_workers = 2;
+  const Evaluator overflow(program, bytecode_options);
+  EXPECT_EQ(fallbacks.value() - fallbacks_before, 1u);
+  EXPECT_EQ(treewalk.value() - treewalk_before, 1u);
+  EXPECT_EQ(overflow.bytecode(), nullptr);
+
+  const std::vector<Value> args = {Value::Number(3.0)};
+  auto tree_paths = tree.Enumerate("f", args, {});
+  auto overflow_paths = overflow.Enumerate("f", args, {});
+  ASSERT_TRUE(tree_paths.ok()) << tree_paths.status().ToString();
+  ASSERT_TRUE(overflow_paths.ok()) << overflow_paths.status().ToString();
+  ASSERT_EQ(overflow_paths->size(), tree_paths->size());
+  for (size_t i = 0; i < tree_paths->size(); ++i) {
+    const WeightedOutcome& o = (*overflow_paths)[i];
+    const WeightedOutcome& t = (*tree_paths)[i];
+    EXPECT_EQ(Fingerprint(o.value), Fingerprint(t.value));
+    EXPECT_EQ(Bits(o.probability), Bits(t.probability));
+    ASSERT_EQ(o.ecv_assignments.size(), t.ecv_assignments.size());
+    for (size_t j = 0; j < t.ecv_assignments.size(); ++j) {
+      EXPECT_EQ(o.ecv_assignments[j].first, t.ecv_assignments[j].first);
+      EXPECT_EQ(Fingerprint(o.ecv_assignments[j].second),
+                Fingerprint(t.ecv_assignments[j].second));
+    }
+  }
+
+  auto tree_expected = tree.ExpectedEnergy("f", args, {});
+  auto overflow_expected = overflow.ExpectedEnergy("f", args, {});
+  ASSERT_TRUE(tree_expected.ok() && overflow_expected.ok());
+  EXPECT_EQ(Bits(overflow_expected->joules()), Bits(tree_expected->joules()));
+
+  // Two chunks on two workers: the threaded per-chunk scalar loop.
+  Rng tree_rng(42);
+  Rng overflow_rng(42);
+  auto tree_mc = tree.MonteCarloMean("f", args, {}, tree_rng, 300);
+  auto overflow_mc =
+      overflow.MonteCarloMean("f", args, {}, overflow_rng, 300);
+  ASSERT_TRUE(tree_mc.ok()) << tree_mc.status().ToString();
+  ASSERT_TRUE(overflow_mc.ok()) << overflow_mc.status().ToString();
+  EXPECT_EQ(Bits(overflow_mc->joules()), Bits(tree_mc->joules()));
+}
 
 // Inline-arithmetic interface whose left spine of additions compiles to a
 // kFoldChain superinstruction — the hottest opcode by construction, since

@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/eval/builtins.h"
 #include "src/eval/interp.h"
 #include "src/eval/pure_expr.h"
+#include "src/lang/builtin.h"
+#include "src/lang/checker.h"
 #include "src/lang/parser.h"
 
 namespace eclarity {
@@ -113,35 +119,119 @@ interface f(cache_frac) {
 TEST(EvalEdgeTest, BuiltinErrorPaths) {
   const std::string ctx = "t";
   // clamp with inverted bounds.
-  EXPECT_FALSE(ApplyBuiltin("clamp",
+  EXPECT_FALSE(ApplyBuiltin(Builtin::kClamp,
                             {Value::Number(1), Value::Number(5),
                              Value::Number(2)},
                             {}, ctx)
                    .ok());
   // log of a non-positive value -> non-finite.
-  EXPECT_FALSE(ApplyBuiltin("log", {Value::Number(-1)}, {}, ctx).ok());
-  EXPECT_FALSE(ApplyBuiltin("sqrt", {Value::Number(-4)}, {}, ctx).ok());
+  EXPECT_FALSE(ApplyBuiltin(Builtin::kLog, {Value::Number(-1)}, {}, ctx).ok());
+  EXPECT_FALSE(
+      ApplyBuiltin(Builtin::kSqrt, {Value::Number(-4)}, {}, ctx).ok());
   // pow overflow.
-  EXPECT_FALSE(
-      ApplyBuiltin("pow", {Value::Number(1e300), Value::Number(10)}, {}, ctx)
-          .ok());
+  EXPECT_FALSE(ApplyBuiltin(Builtin::kPow,
+                            {Value::Number(1e300), Value::Number(10)}, {}, ctx)
+                   .ok());
   // au without its unit-name string.
-  EXPECT_FALSE(ApplyBuiltin("au", {Value::Number(0)}, {}, ctx).ok());
+  EXPECT_FALSE(ApplyBuiltin(Builtin::kAu, {Value::Number(0)}, {}, ctx).ok());
   // unknown builtin name.
-  EXPECT_FALSE(ApplyBuiltin("warp", {Value::Number(0)}, {}, ctx).ok());
+  EXPECT_EQ(LookupBuiltin("warp"), std::nullopt);
   // min over mixed kinds.
-  EXPECT_FALSE(
-      ApplyBuiltin("min", {Value::Number(1), Value::Joules(1)}, {}, ctx).ok());
+  EXPECT_FALSE(ApplyBuiltin(Builtin::kMin, {Value::Number(1), Value::Joules(1)},
+                            {}, ctx)
+                   .ok());
   // abs of an abstract energy (not resolvable without calibration).
-  EXPECT_FALSE(
-      ApplyBuiltin("abs", {Value::EnergyValue(AbstractEnergy::Unit("x"))}, {},
-                   ctx)
-          .ok());
+  EXPECT_FALSE(ApplyBuiltin(Builtin::kAbs,
+                            {Value::EnergyValue(AbstractEnergy::Unit("x"))},
+                            {}, ctx)
+                   .ok());
+}
+
+// `f(x) { return name(...); }` with `n` arguments: `x` first, then the
+// constants 2, 3, ... (so min/max/pow/clamp get valid operands). au's
+// unit-name literal occupies its first argument position.
+std::string BuiltinCallSource(Builtin builtin, size_t n) {
+  std::string call = std::string(BuiltinName(builtin)) + "(";
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0) {
+      call += ", ";
+    }
+    const size_t value_pos = builtin == Builtin::kAu ? i : i + 1;
+    if (builtin == Builtin::kAu && i == 0) {
+      call += "\"unit\"";
+    } else if (value_pos == 1) {
+      call += "x";
+    } else {
+      call += std::to_string(value_pos);
+    }
+  }
+  return "interface f(x) { return " + call + "); }";
+}
+
+// Every entry of the builtin table: the checker accepts exactly the
+// table's argument counts with the existing message, and an accepted call
+// evaluates identically on the tree walk and on bytecode (the argument is
+// a parameter, so lowering cannot fold the call away).
+TEST(EvalEdgeTest, BuiltinTableArityAndEngineParity) {
+  struct Row {
+    Builtin id;
+    const char* name;
+    size_t min_args;
+    size_t max_args;
+  };
+  const Row rows[] = {
+#define BUILTIN_ROW(id, name, min_args, max_args) \
+  {Builtin::id, name, min_args, max_args},
+      ECLARITY_BUILTINS(BUILTIN_ROW)
+#undef BUILTIN_ROW
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(LookupBuiltin(row.name), std::optional<Builtin>(row.id));
+    EXPECT_STREQ(BuiltinName(row.id), row.name);
+    for (const size_t n : {row.min_args - 1, row.max_args + 1}) {
+      const std::string source = BuiltinCallSource(row.id, n);
+      SCOPED_TRACE(source);
+      const std::vector<Status> problems =
+          CheckProgram(MustParse(source.c_str()));
+      ASSERT_EQ(problems.size(), 1u);
+      const std::string expected = std::string(
+          "wrong number of arguments to builtin '") + row.name + "'";
+      const std::string& message = problems[0].message();
+      ASSERT_GE(message.size(), expected.size());
+      EXPECT_EQ(message.substr(message.size() - expected.size()), expected);
+    }
+    for (size_t n = row.min_args; n <= row.max_args; ++n) {
+      const std::string source = BuiltinCallSource(row.id, n);
+      SCOPED_TRACE(source);
+      const Program program = MustParse(source.c_str());
+      EXPECT_TRUE(CheckProgram(program).empty());
+      EvalOptions tree_options;
+      tree_options.engine = EvalEngine::kTreeWalk;
+      Evaluator tree(program, tree_options);
+      Evaluator bytecode(program);
+      ASSERT_NE(bytecode.bytecode(), nullptr);
+      Rng tree_rng(1);
+      Rng bytecode_rng(1);
+      auto t = tree.EvalSampled("f", {Value::Number(2.0)}, {}, tree_rng);
+      auto b = bytecode.EvalSampled("f", {Value::Number(2.0)}, {},
+                                    bytecode_rng);
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      std::string t_fp;
+      std::string b_fp;
+      t->AppendFingerprint(t_fp);
+      b->AppendFingerprint(b_fp);
+      EXPECT_EQ(b_fp, t_fp);
+    }
+  }
 }
 
 TEST(EvalEdgeTest, MinMaxOnConcreteEnergies) {
-  auto lo = ApplyBuiltin("min", {Value::Joules(2), Value::Joules(5)}, {}, "t");
-  auto hi = ApplyBuiltin("max", {Value::Joules(2), Value::Joules(5)}, {}, "t");
+  auto lo = ApplyBuiltin(Builtin::kMin, {Value::Joules(2), Value::Joules(5)},
+                         {}, "t");
+  auto hi = ApplyBuiltin(Builtin::kMax, {Value::Joules(2), Value::Joules(5)},
+                         {}, "t");
   ASSERT_TRUE(lo.ok() && hi.ok());
   EXPECT_DOUBLE_EQ(lo->energy().concrete().joules(), 2.0);
   EXPECT_DOUBLE_EQ(hi->energy().concrete().joules(), 5.0);
@@ -230,8 +320,7 @@ TEST(EvalEdgeTest, MaxPathsExhaustedOnAllEngines) {
   }
   source += "  return acc;\n}\n";
   const Program p = MustParse(source.c_str());
-  for (EvalEngine engine :
-       {EvalEngine::kFastPath, EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
     EvalOptions options = WithEngine(engine);
     options.max_paths = 100;
     Evaluator eval(p, options);
@@ -243,8 +332,7 @@ TEST(EvalEdgeTest, MaxPathsExhaustedOnAllEngines) {
 
 TEST(EvalEdgeTest, MaxCallDepthExhaustedOnAllEngines) {
   const Program p = MustParse("interface f(x) { return f(x); }");
-  for (EvalEngine engine :
-       {EvalEngine::kFastPath, EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
     EvalOptions options = WithEngine(engine);
     options.max_call_depth = 8;
     Evaluator eval(p, options);
@@ -258,8 +346,7 @@ TEST(EvalEdgeTest, MaxCallDepthExhaustedOnAllEngines) {
 TEST(EvalEdgeTest, MaxEcvSupportExhaustedOnAllEngines) {
   const Program p = MustParse(
       "interface f(x) { ecv e ~ uniform_int(0, 10); return e * 1J; }");
-  for (EvalEngine engine :
-       {EvalEngine::kFastPath, EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
     EvalOptions options = WithEngine(engine);
     options.max_ecv_support = 4;
     Evaluator eval(p, options);
@@ -274,8 +361,7 @@ TEST(EvalEdgeTest, MaxStepsExhaustedOnAllEngines) {
   const Program p = MustParse(
       "interface f(x) { let mut t = 0J; for i in 0..100000 { t = t + 1J; } "
       "return t; }");
-  for (EvalEngine engine :
-       {EvalEngine::kFastPath, EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
+  for (EvalEngine engine : {EvalEngine::kTreeWalk, EvalEngine::kBytecode}) {
     EvalOptions options = WithEngine(engine);
     options.max_steps = 50;
     Evaluator eval(p, options);
