@@ -14,6 +14,15 @@ throughput; everything else on real_time. The factor is deliberately loose
 guard exists to catch engine-level regressions (an accidental fallback to a
 slower path, a lost cache), not single-digit-percent drift.
 
+On a host with at least 4 CPUs the guard also checks that the query
+service scales: BM_ServiceThroughput at 4 threads must reach 2.5x its
+1-thread throughput, each taken as the median of 7 repetitions. Single runs
+on a shared 4-vCPU host swing by up to 2.5x minutes apart, so the
+repetitions of both thread counts are run in random interleaved order: a
+few seconds of contention from other tenants then lands on a minority of
+each side's repetitions instead of on every 4-thread one. This is a ratio
+measured on the host the guard runs on, so it needs no baseline.
+
 Usage:
   bench_guard.py --binary <perf_toolkit> --baseline <BENCH_perf_toolkit.json>
                  [--filter REGEX] [--factor 2.0] [--min-time 0.25]
@@ -22,10 +31,17 @@ Usage:
 
 import argparse
 import json
+import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
+
+SCALING_BENCH = "BM_ServiceThroughput/real_time/threads:{}"
+SCALING_THREADS = 4
+SCALING_MIN_RATIO = 2.5
+SCALING_REPETITIONS = 7
 
 
 def load_benchmarks(doc):
@@ -64,17 +80,23 @@ def main():
         return 1
     baseline = load_benchmarks(baseline_doc)
 
-    def run_benchmarks(bench_filter):
+    def run_doc(bench_filter, repetitions=1):
         with tempfile.NamedTemporaryFile(suffix=".json") as out:
             subprocess.run(
                 [args.binary,
                  f"--benchmark_filter={bench_filter}",
                  f"--benchmark_min_time={args.min_time}",
+                 f"--benchmark_repetitions={repetitions}",
+                 "--benchmark_enable_random_interleaving="
+                 f"{'true' if repetitions > 1 else 'false'}",
                  "--benchmark_out_format=json",
                  f"--benchmark_out={out.name}"],
                 check=True, stdout=subprocess.DEVNULL)
             with open(out.name) as f:
-                return load_benchmarks(json.load(f))
+                return json.load(f)
+
+    def run_benchmarks(bench_filter):
+        return load_benchmarks(run_doc(bench_filter))
 
     current = run_benchmarks(args.filter)
 
@@ -134,9 +156,38 @@ def main():
                 f"obs filter {args.obs_filter!r} matched no benchmark "
                 "exporting obs_overhead_ratio")
 
+    # Multi-core scaling of the cache-hit path, on hosts that have the cores
+    # (os.cpu_count() is the num_cpus google-benchmark records).
+    num_cpus = os.cpu_count() or 1
+    if num_cpus < SCALING_THREADS:
+        print(f"bench_guard: [skip] scaling check needs >= {SCALING_THREADS} "
+              f"CPUs, host has {num_cpus}")
+    else:
+        one = SCALING_BENCH.format(1)
+        many = SCALING_BENCH.format(SCALING_THREADS)
+        doc = run_doc(f"^({re.escape(one)}|{re.escape(many)})$",
+                      repetitions=SCALING_REPETITIONS)
+
+        def median_rate(name):
+            rates = [b["items_per_second"] for b in doc.get("benchmarks", [])
+                     if b["name"] == name
+                     and b.get("run_type") != "aggregate"
+                     and "error_occurred" not in b]
+            return statistics.median(rates) if rates else 0.0
+
+        rate_one, rate_many = median_rate(one), median_rate(many)
+        ratio = rate_many / rate_one if rate_one > 0 else 0.0
+        ok = ratio >= SCALING_MIN_RATIO
+        detail = (f"{many} {rate_many:,.0f}/s vs {one} {rate_one:,.0f}/s = "
+                  f"{ratio:.2f}x (median of {SCALING_REPETITIONS}, need >= "
+                  f"{SCALING_MIN_RATIO}x on {num_cpus} CPUs)")
+        print(f"bench_guard: [{'ok' if ok else 'FAIL'}] scaling: {detail}")
+        if not ok:
+            failures.append(f"scaling: {detail}")
+
     if failures:
-        print(f"bench_guard: {len(failures)} regression(s) beyond "
-              f"{args.factor}x:", file=sys.stderr)
+        print(f"bench_guard: {len(failures)} check(s) failed:",
+              file=sys.stderr)
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/lang/builtin.h"
+
 namespace eclarity {
 namespace {
 
@@ -132,7 +134,7 @@ void PrintExprInner(const Expr& expr, int parent_prec,
         // they were parsed in; for `au`, the string is always argument 0.
         const bool is_string_slot =
             string_idx < call.string_args.size() && i == string_idx &&
-            call.callee == "au";
+            LookupBuiltin(call.callee) == Builtin::kAu;
         if (is_string_slot) {
           os << "\"" << call.string_args[string_idx++] << "\"";
         } else {

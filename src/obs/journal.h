@@ -66,7 +66,7 @@ class Journal {
  public:
   // Slots per thread ring. Power of two; 2048 slots * 48 bytes = 96 KiB per
   // recording thread, sized to hold several seconds of sampled service
-  // events at the default 1-in-256 sampling rate.
+  // events at the default 1-in-257 sampling rate.
   static constexpr size_t kRingCapacity = 2048;
 
   // The process-wide journal. Leaked singleton: rings must outlive every

@@ -92,6 +92,31 @@ std::vector<double> LinearBuckets(double start, double width, size_t count) {
   return out;
 }
 
+size_t Counter::LeaseStripe() {
+  // Live threads per stripe. Leaked, like the registry, so threads exiting
+  // during static destruction can still return their lease.
+  struct Leases {
+    std::mutex mu;
+    std::array<size_t, kStripes> users{};
+  };
+  static Leases* leases = new Leases();
+  // Returns the lease when the thread exits.
+  struct Lease {
+    size_t stripe = kStripes;
+    ~Lease() {
+      std::lock_guard<std::mutex> lock(leases->mu);
+      --leases->users[stripe];
+    }
+  };
+  thread_local Lease lease;
+  std::lock_guard<std::mutex> lock(leases->mu);
+  const auto least =
+      std::min_element(leases->users.begin(), leases->users.end());
+  ++*least;
+  lease.stripe = static_cast<size_t>(least - leases->users.begin());
+  return lease.stripe;
+}
+
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;

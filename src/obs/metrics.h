@@ -2,10 +2,13 @@
 //
 // The paper's thesis is that energy behaviour must be *legible*; the
 // RAPL-overhead literature adds that the monitoring itself must be cheap and
-// its cost known. This registry follows both rules: metric updates are single
+// its cost known. This registry follows both rules: metric updates are
 // relaxed atomic operations (no locks, no allocation), registration and
 // export take a mutex but happen off the hot path, and everything is
-// observable as JSON or Prometheus text.
+// observable as JSON or Prometheus text. Counters are striped: each thread
+// adds into its own cache-line-sized cell, so threads counting the same
+// event never write a shared line (a single shared atomic was the query
+// service's multi-core scaling bottleneck); reads sum the cells.
 //
 // Usage:
 //   Counter& hits = MetricsRegistry::Global().GetCounter(
@@ -18,7 +21,9 @@
 #ifndef ECLARITY_SRC_OBS_METRICS_H_
 #define ECLARITY_SRC_OBS_METRICS_H_
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -30,17 +35,52 @@
 
 namespace eclarity {
 
-// Monotonically increasing event count.
+// Monotonically increasing event count, striped across cache-line-aligned
+// cells. A thread always adds into the cell its stripe id names. A thread
+// leases the least-shared stripe on its first increment (of any counter)
+// and returns it when it exits, so up to kStripes live counting threads
+// never share a written line, however many threads come and go; more
+// threads share cells, still correctly, as every add is atomic. value() is
+// the sum of all cells: exact once writers are quiescent, and while they
+// run, at least every increment that happened-before the read.
 class Counter {
  public:
+  static constexpr size_t kStripes = 16;
+
   void Increment(uint64_t delta = 1) {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+    cells_[Stripe()].value.fetch_add(delta, std::memory_order_relaxed);
   }
-  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
+  uint64_t value() const {
+    uint64_t sum = 0;
+    for (const Cell& cell : cells_) {
+      sum += cell.value.load(std::memory_order_relaxed);
+    }
+    return sum;
+  }
+  void Reset() {
+    for (Cell& cell : cells_) {
+      cell.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<uint64_t> value_{0};
+  struct alignas(64) Cell {
+    std::atomic<uint64_t> value{0};
+  };
+
+  // The calling thread's stripe. Constant-initialised, so the hot path is
+  // one thread-local load and a compare.
+  static size_t Stripe() {
+    thread_local size_t stripe = kStripes;  // kStripes: not yet leased
+    if (stripe == kStripes) {
+      stripe = LeaseStripe();
+    }
+    return stripe;
+  }
+  // Leases the least-shared stripe to the calling thread until it exits.
+  static size_t LeaseStripe();
+
+  std::array<Cell, kStripes> cells_;
 };
 
 // Last-written scalar (cache sizes, error rates, alarm flags).

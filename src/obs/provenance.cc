@@ -7,6 +7,7 @@
 #include <tuple>
 #include <utility>
 
+#include "src/lang/builtin.h"
 #include "src/obs/trace.h"
 
 namespace eclarity {
@@ -21,7 +22,7 @@ bool IsTermExpr(const Expr& e) {
     return true;
   }
   return e.kind == ExprKind::kCall &&
-         static_cast<const CallExpr&>(e).callee == "au";
+         LookupBuiltin(static_cast<const CallExpr&>(e).callee) == Builtin::kAu;
 }
 
 bool ExprHasTermAt(const Expr& e, int line, int column);
@@ -79,7 +80,8 @@ int ZeroSiteInExpr(Expr& e, int line, int column) {
   }
   if (e.kind == ExprKind::kCall) {
     auto& call = static_cast<CallExpr&>(e);
-    if (call.callee == "au" && e.line == line && e.column == column) {
+    if (LookupBuiltin(call.callee) == Builtin::kAu && e.line == line &&
+        e.column == column) {
       // au("unit", k) contributes k abstract units; zero the count so the
       // term vanishes under any calibration.
       if (call.args.size() == 2) {

@@ -1,5 +1,6 @@
 #include "src/stack/stack.h"
 
+#include "src/lang/builtin.h"
 #include "src/lang/checker.h"
 #include "src/lang/parser.h"
 
@@ -64,7 +65,7 @@ void ZeroExpr(Expr& e) {
     }
     case ExprKind::kCall: {
       auto& call = static_cast<CallExpr&>(e);
-      if (call.callee == "au") {
+      if (LookupBuiltin(call.callee) == Builtin::kAu) {
         // au("unit", k) contributes k abstract units; scale the count to 0
         // so the term vanishes under any calibration.
         if (call.args.size() == 2) {

@@ -52,7 +52,7 @@ struct SvcCounters {
             "QueryService enumeration-cache evictions (all shards)"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_tl_fold_hits_total",
-            "exact-fold lookups answered by the thread-local slot cache"),
+            "exact-fold lookups answered by the thread-local fold cache"),
         MetricsRegistry::Global().GetCounter(
             "eclarity_svc_tl_fold_misses_total",
             "exact-fold lookups that fell through to the sharded cache"),
@@ -467,8 +467,6 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> initial,
       mc_pool_(std::make_unique<McPool>(options.mc_pool_threads,
                                         options.mc_queue_limit)) {}
 
-QueryService::~QueryService() = default;
-
 const std::shared_ptr<const QueryService::Snapshot>&
 QueryService::SnapshotSlot() const {
   // Per-thread snapshot cache, revalidated against publish_seq_: while no
@@ -629,59 +627,168 @@ Result<CertifiedDistribution> QueryService::CertifiedOn(
 
 namespace {
 
-// Per-thread direct-mapped fold cache: a repeated exact query is answered
-// with one key build, one hash, and one string compare — no shard lock, no
-// refcount traffic. The answer path is gated on a non-zero shared-cache
-// capacity so a deliberately uncached service still pays (and counts) one
-// shard miss per lookup, but the slot always pins the most recently
-// returned entry (svc_id 0 marks a pin that must not answer later lookups).
-// Entries are immutable shared_ptrs and the key embeds the program
-// generation and effective-profile fingerprint, so a stale slot — even one
-// outliving a shard eviction or snapshot swap — can only ever answer with
-// the exact fold its key names.
-struct TlFoldSlot {
-  uint64_t svc_id = 0;
-  std::string key;
-  QueryService::SharedFold entry;
-};
-constexpr size_t kTlFoldSlots = 128;  // power of two; ~7 KiB per thread
+// Per-thread set-associative fold cache: a repeated exact query is answered
+// with one key build, one hash, a scan of at most two cache lines of tags
+// and one string compare — no shard lock, no refcount traffic, and no write
+// to memory another thread touches (the LRU stamp a hit bumps is this
+// thread's own). Entries are keyed on the full cache key plus the owning
+// service's id. The answer path is gated on a non-zero shared-cache
+// capacity, so a deliberately uncached service still pays (and counts) one
+// shard miss per lookup. Entries are immutable shared_ptrs and the key
+// embeds the program generation and effective-profile fingerprint, so a
+// stale entry — even one outliving a shard eviction or snapshot swap — can
+// only ever answer with the exact fold its key names. Each entry pins its
+// fold until replaced, so the fold memory a thread can keep alive past
+// shard eviction is bounded by kEntries folds.
+//
+// Each key may live in either of two 8-way sets (picked by two independent
+// hash bit-fields) and fills an empty or least-recently-used way of either.
+// One set per key would not hold a hot set half the cache's size: 256
+// random keys overflow some set of a 128x4 or 64x8 single-choice layout in
+// most draws (simulated: >99% and 76%), while with two choices and 8 ways
+// no overflow appeared in 20,000 draws.
+class TlFoldCache {
+ public:
+  struct Entry {
+    uint64_t svc_id = 0;  // 0: empty
+    uint64_t last_use = 0;
+    std::string key;
+    QueryService::SharedFold fold;
+  };
 
-TlFoldSlot& TlFoldSlotFor(const std::string& key) {
-  thread_local std::array<TlFoldSlot, kTlFoldSlots> slots;
-  return slots[std::hash<std::string>{}(key) & (kTlFoldSlots - 1)];
-}
+  static TlFoldCache& Get() {
+    thread_local TlFoldCache cache;
+    return cache;
+  }
+
+  // The calling thread's cache if it has one that is not yet destroyed
+  // (a service may be destroyed during thread or process exit), else null.
+  static TlFoldCache* IfLive() { return live_; }
+
+  // Empties every entry `svc_id` filled, releasing the folds they pin. A
+  // dead service's entries can never answer (ids are never reused), but
+  // would keep its folds alive until evicted.
+  void Drop(uint64_t svc_id) {
+    for (size_t i = 0; i < kEntries; ++i) {
+      if (entries_[i].svc_id == svc_id) {
+        tags_[i / kWays].hash[i % kWays] = 0;
+        entries_[i] = Entry{};
+      }
+    }
+    uncached_pin_.reset();
+  }
+
+  // The entry holding (svc_id, key), or null.
+  Entry* Find(uint64_t svc_id, const std::string& key, uint64_t hash) {
+    for (const size_t set : {SetA(hash), SetB(hash)}) {
+      for (size_t way = 0; way < kWays; ++way) {
+        if (tags_[set].hash[way] != hash) {
+          continue;
+        }
+        Entry& entry = entries_[set * kWays + way];
+        if (entry.svc_id == svc_id && entry.key == key) {
+          entry.last_use = ++tick_;
+          return &entry;
+        }
+      }
+    }
+    return nullptr;
+  }
+
+  // Stores `fold` under (svc_id, key), which Find just missed, in an empty
+  // or else the least recently used way of the key's two sets.
+  Entry& Fill(uint64_t svc_id, const std::string& key, uint64_t hash,
+              QueryService::SharedFold fold) {
+    size_t victim = SetA(hash) * kWays;
+    for (const size_t set : {SetA(hash), SetB(hash)}) {
+      for (size_t i = set * kWays; i < (set + 1) * kWays; ++i) {
+        if (entries_[i].last_use < entries_[victim].last_use) {
+          victim = i;
+        }
+      }
+    }
+    tags_[victim / kWays].hash[victim % kWays] = hash;
+    Entry& entry = entries_[victim];
+    entry.svc_id = svc_id;
+    entry.last_use = ++tick_;
+    entry.key = key;  // assignment keeps capacity across refills
+    entry.fold = std::move(fold);
+    return entry;
+  }
+
+  // Pins the fold a service with the cache disabled just computed, so the
+  // raw pointer FoldCached returns outlives its local handle.
+  void PinUncached(QueryService::SharedFold fold) {
+    uncached_pin_ = std::move(fold);
+  }
+
+ private:
+  static constexpr size_t kWays = 8;
+  static constexpr size_t kSets = 64;
+  static constexpr size_t kEntries = kSets * kWays;
+  static_assert((kSets & (kSets - 1)) == 0);
+
+  // One set's tags share a cache line, so a lookup reads at most two.
+  struct alignas(64) SetTags {
+    std::array<uint64_t, kWays> hash{};
+  };
+
+  TlFoldCache() : tags_(kSets), entries_(kEntries) { live_ = this; }
+  ~TlFoldCache() { live_ = nullptr; }
+  TlFoldCache(const TlFoldCache&) = delete;
+  TlFoldCache& operator=(const TlFoldCache&) = delete;
+
+  static size_t SetA(uint64_t hash) { return hash & (kSets - 1); }
+  static size_t SetB(uint64_t hash) { return (hash >> 32) & (kSets - 1); }
+
+  // Heap-allocated (~36 KiB per querying thread plus key bytes).
+  std::vector<SetTags> tags_;
+  std::vector<Entry> entries_;
+  uint64_t tick_ = 0;
+  QueryService::SharedFold uncached_pin_;
+  // Constant-initialised, so it stays readable after the cache is gone.
+  static inline thread_local TlFoldCache* live_ = nullptr;
+};
 
 }  // namespace
 
-QueryService::SharedFold QueryService::LookupFold(
+QueryService::~QueryService() {
+  // Only this thread's cache is reachable; other threads' entries for this
+  // service age out under LRU or die with their thread.
+  if (TlFoldCache* cache = TlFoldCache::IfLive()) {
+    cache->Drop(svc_id_);
+  }
+}
+
+const QueryService::SharedFold* QueryService::LookupFold(
     const std::string& key) const {
-  TlFoldSlot& slot = TlFoldSlotFor(key);
   const bool use_tl = cache_.capacity() > 0;
   // Phase spans (cache lookup, eval, fold) are recorded only inside a
   // query the QueryTimer already chose to sample, so the unsampled fast
   // path pays one thread-local bool read here.
   const bool sampled = ObsSampler::Active();
   const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
-  if (use_tl && slot.svc_id == svc_id_ && slot.key == key) {
-    SvcCounters::Get().cache_hits.Increment();
-    SvcCounters::Get().tl_fold_hits.Increment();
-    if (sampled) {
-      JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
-    }
-    return slot.entry;
-  }
+  const uint64_t hash = std::hash<std::string>{}(key);
   if (use_tl) {
+    if (TlFoldCache::Entry* entry =
+            TlFoldCache::Get().Find(svc_id_, key, hash)) {
+      SvcCounters::Get().cache_hits.Increment();
+      SvcCounters::Get().tl_fold_hits.Increment();
+      if (sampled) {
+        JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
+      }
+      return &entry->fold;
+    }
     SvcCounters::Get().tl_fold_misses.Increment();
   }
   if (std::optional<SharedFold> hit = cache_.Get(key)) {
     SvcCounters::Get().cache_hits.Increment();
-    slot.svc_id = svc_id_;
-    slot.key = key;
-    slot.entry = std::move(*hit);
+    TlFoldCache::Entry& entry =
+        TlFoldCache::Get().Fill(svc_id_, key, hash, std::move(*hit));
     if (sampled) {
       JournalPhase(JournalEventKind::kCacheLookup, /*a=*/2, lookup_t0);
     }
-    return slot.entry;
+    return &entry.fold;
   }
   SvcCounters::Get().cache_misses.Increment();
   if (sampled) {
@@ -696,11 +803,12 @@ void QueryService::StoreFold(const std::string& key, SharedFold entry) const {
     // Always-on: evictions are rare and explain hit-rate cliffs.
     Journal::Global().Record(JournalEventKind::kShardEviction);
   }
-  const bool use_tl = cache_.capacity() > 0;
-  TlFoldSlot& slot = TlFoldSlotFor(key);
-  slot.svc_id = use_tl ? svc_id_ : 0;
-  slot.key = use_tl ? key : std::string();
-  slot.entry = std::move(entry);
+  if (cache_.capacity() == 0) {
+    TlFoldCache::Get().PinUncached(std::move(entry));
+    return;
+  }
+  TlFoldCache::Get().Fill(svc_id_, key, std::hash<std::string>{}(key),
+                          std::move(entry));
 }
 
 Result<const QueryService::ExactFold*> QueryService::FoldCached(
@@ -714,10 +822,8 @@ Result<const QueryService::ExactFold*> QueryService::FoldCached(
     AppendCacheKey(snapshot, query, scratch);
     key = &scratch;
   }
-  if (SharedFold hit = LookupFold(*key)) {
-    // The thread-local slot LookupFold touched pins the entry past this
-    // local handle; callers consume the pointer immediately.
-    return hit.get();
+  if (const SharedFold* hit = LookupFold(*key)) {
+    return hit->get();  // pinned by the thread-local entry; no refcount bump
   }
   const bool sampled = ObsSampler::Active();
   const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
@@ -758,7 +864,7 @@ Result<const QueryService::ExactFold*> QueryService::FoldCached(
   auto entry = std::make_shared<const ExactFold>(
       ExactFold{std::move(dist), mean});
   const ExactFold* raw = entry.get();
-  StoreFold(*key, std::move(entry));  // the thread-local slot pins `raw`
+  StoreFold(*key, std::move(entry));  // the thread-local cache pins `raw`
   return raw;
 }
 
@@ -1314,8 +1420,8 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
           d.memo_hash = h;
           AppendCacheKeyPrefix(snapshot, query, d.key);
           d.key += base_fp;
-          if (SharedFold hit = LookupFold(d.key)) {
-            d.fold = std::move(hit);
+          if (const SharedFold* hit = LookupFold(d.key)) {
+            d.fold = *hit;
             d.resolved = true;
             if (memo_slot != nullptr) {
               FillMemo(*memo_slot, h, svc_id_, snap_id, query, d.fold);
@@ -1360,8 +1466,8 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
         d.key = key_scratch;
         d.query = &query;
         d.profile = &eff->merged;
-        if (SharedFold hit = LookupFold(d.key)) {
-          d.fold = std::move(hit);
+        if (const SharedFold* hit = LookupFold(d.key)) {
+          d.fold = *hit;
           d.resolved = true;
         }
         kit->second = fresh_idx;

@@ -21,7 +21,9 @@
 //     fingerprints, effective-profile fingerprint); concurrent queries on
 //     different keys take different shard locks, and a hit answers an
 //     Expected or Distribution query with no re-fold. Errors are never
-//     cached.
+//     cached. In front of the shards each thread keeps a 512-entry
+//     set-associative cache of the folds it last used, so a repeated query
+//     takes no lock and writes no memory another thread shares.
 //
 //   * Snapshot-time bytecode specialization. Each publication specializes
 //     the bundle's bytecode program against the snapshot's base profile
@@ -137,9 +139,13 @@ struct QueryServiceOptions {
   // (with cache-lookup / snapshot-pin / eval / fold phase spans on the
   // sampled query). Unsampled queries pay one thread-local countdown.
   // 0 disables sampling. The default keeps the self-accounted overhead
-  // (eclarity_obs_overhead_ratio) well under the 1% telemetry budget even
-  // at cache-hit speeds (~10^7 queries/s); diagnostic tools can lower it.
-  uint32_t obs_sample_interval = 256;
+  // (eclarity_obs_overhead_ratio) under the 1% telemetry budget on mixed
+  // traffic; diagnostic tools can lower it. It is prime so that traffic
+  // repeating with a power-of-two period (say, a Monte Carlo query every
+  // 32nd) is sampled at every phase: a period dividing the interval would
+  // put every sample on the same query of the cycle, and the work the
+  // budget credits would describe only that query kind.
+  uint32_t obs_sample_interval = 257;
 };
 
 class QueryService {
@@ -229,16 +235,20 @@ class QueryService {
 
   // Cache-or-(enumerate+fold) against `snapshot`; `key_hint` (may be null)
   // carries a precomputed cache key from the batch path. The returned
-  // pointer stays valid until the calling thread's next FoldCached call (a
-  // thread-local MRU slot pins the entry); callers consume it immediately.
+  // pointer is pinned by the calling thread's set-associative fold cache
+  // (a hit copies no shared_ptr) and stays valid until that thread's next
+  // LookupFold / StoreFold; callers consume it immediately.
   Result<const ExactFold*> FoldCached(const Snapshot& snapshot,
                                       const Query& query,
                                       const std::string* key_hint) const;
   // Fold-cache primitives shared by FoldCached and the batch path. Both go
-  // through the same thread-local MRU slots and count exactly one cache hit
-  // or miss per LookupFold call; StoreFold publishes a freshly folded entry
-  // (shard insert + thread-local slot fill, counting evictions).
-  SharedFold LookupFold(const std::string& key) const;
+  // through the same thread-local cache and count exactly one cache hit or
+  // miss per LookupFold call. LookupFold returns the thread-local entry
+  // holding the fold (null on a miss), valid under the same rule as
+  // FoldCached's pointer; callers that keep the fold copy the shared_ptr.
+  // StoreFold publishes a freshly folded entry (shard insert + thread-local
+  // fill, counting evictions).
+  const SharedFold* LookupFold(const std::string& key) const;
   void StoreFold(const std::string& key, SharedFold entry) const;
   std::string CacheKey(const Snapshot& snapshot, const Query& query) const;
   void AppendCacheKey(const Snapshot& snapshot, const Query& query,

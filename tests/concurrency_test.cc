@@ -17,6 +17,7 @@
 
 #include "src/eval/interp.h"
 #include "src/lang/parser.h"
+#include "src/obs/metrics.h"
 #include "src/svc/query_service.h"
 #include "src/svc/sharded_cache.h"
 #include "src/util/rng.h"
@@ -72,6 +73,44 @@ interface E_cnn_forward(image_size, n_zeros) {
          16 * n_embedding * 1.5nJ;
 }
 )";
+
+// --- Striped counters -------------------------------------------------------
+
+TEST(StripedCounterTest, EightThreadsCountExactlyAndResetZeroesEveryStripe) {
+  constexpr size_t kThreads = 8;
+  constexpr uint64_t kPerThread = 100000;
+  MetricsRegistry registry;
+  Counter& counter = registry.GetCounter("test_striped_total", "test");
+  // Fresh threads each round: the second round's threads lease the
+  // stripes the first round's threads returned on exit.
+  auto hammer = [&counter] {
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&counter] {
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+          counter.Increment();
+        }
+      });
+    }
+    for (std::thread& worker : workers) {
+      worker.join();
+    }
+  };
+  hammer();
+  EXPECT_EQ(counter.value(), kThreads * kPerThread);
+  EXPECT_NE(registry.ToJson().find("\"test_striped_total\":800000"),
+            std::string::npos);
+
+  // Cells only grow, so a zero sum means every cell is zero.
+  counter.Reset();
+  EXPECT_EQ(counter.value(), 0u);
+  hammer();
+  EXPECT_EQ(counter.value(), kThreads * kPerThread);
+  registry.ResetAll();
+  EXPECT_EQ(counter.value(), 0u);
+  counter.Increment(5);
+  EXPECT_EQ(counter.value(), 5u);
+}
 
 // --- ShardedLruMap ----------------------------------------------------------
 
@@ -807,6 +846,90 @@ interface f() {
   auto v2 = service->Dispatch(query);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   EXPECT_DOUBLE_EQ(v2->joules, 0.002);
+}
+
+// --- Thread-local fold cache ------------------------------------------------
+
+// Hot key k of the set-associative tests: distinct base-profile args, every
+// 4th one a Distribution query so both answer paths read the pinned fold.
+constexpr size_t kHotKeys = 256;
+
+Query HotKeyAt(size_t k) {
+  Query query;
+  query.interface = "E_ml_webservice_handle";
+  query.args = {Value::Number(1024.0 + 64.0 * static_cast<double>(k)),
+                Value::Number(16.0 * static_cast<double>(k))};
+  query.kind = k % 4 == 3 ? QueryKind::kDistribution : QueryKind::kExpected;
+  return query;
+}
+
+TEST(QueryServiceConcurrencyTest, ThreadLocalCacheHoldsHotSetOfHalfItsSize) {
+  // 256 keys are half the thread-local cache; a direct-mapped cache of the
+  // same size would lose some to collisions. Re-querying them must be
+  // answered entirely thread-locally, without touching a shard.
+  auto service = MustCreate(kFig1Source);
+  Counter& tl_hits = MetricsRegistry::Global().GetCounter(
+      "eclarity_svc_tl_fold_hits_total");
+  Counter& tl_misses = MetricsRegistry::Global().GetCounter(
+      "eclarity_svc_tl_fold_misses_total");
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t shard_lookups = 0;
+  // A fresh thread starts with an empty thread-local cache.
+  std::thread worker([&] {
+    for (size_t k = 0; k < kHotKeys; ++k) {
+      ASSERT_TRUE(service->Dispatch(HotKeyAt(k)).ok());
+    }
+    const uint64_t hits0 = tl_hits.value();
+    const uint64_t misses0 = tl_misses.value();
+    const uint64_t lookups0 = service->TotalCacheStats().lookups();
+    for (size_t k = 0; k < kHotKeys; ++k) {
+      ASSERT_TRUE(service->Dispatch(HotKeyAt(k)).ok());
+    }
+    hits = tl_hits.value() - hits0;
+    misses = tl_misses.value() - misses0;
+    shard_lookups = service->TotalCacheStats().lookups() - lookups0;
+  });
+  worker.join();
+  EXPECT_EQ(hits, kHotKeys);
+  EXPECT_EQ(misses, 0u);
+  EXPECT_EQ(shard_lookups, 0u);
+}
+
+TEST(QueryServiceConcurrencyTest, HotSetFromFourThreadsBitIdenticalToReplay) {
+  constexpr size_t kThreads = 4;
+  constexpr size_t kRounds = 3;
+  auto service = MustCreate(kFig1Source);
+  for (size_t k = 0; k < kHotKeys; ++k) {
+    ASSERT_TRUE(service->Dispatch(HotKeyAt(k)).ok());
+  }
+  // Each thread walks the hot set from its own offset, so the threads hit
+  // the same shared folds at different times.
+  std::vector<std::vector<std::string>> fingerprints(kThreads);
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&service, &fingerprints, t] {
+      for (size_t i = 0; i < kRounds * kHotKeys; ++i) {
+        auto result = service->Dispatch(HotKeyAt((i + t * 67) % kHotKeys));
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        fingerprints[t].push_back(result->Fingerprint());
+      }
+    });
+  }
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+
+  auto replay = MustCreate(kFig1Source);
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(fingerprints[t].size(), kRounds * kHotKeys);
+    for (size_t i = 0; i < kRounds * kHotKeys; ++i) {
+      auto result = replay->Dispatch(HotKeyAt((i + t * 67) % kHotKeys));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result->Fingerprint(), fingerprints[t][i])
+          << "thread " << t << " query " << i;
+    }
+  }
 }
 
 TEST(QueryServiceSnapshotTest, ZeroCapacityCacheStillAnswersCorrectly) {
