@@ -421,9 +421,9 @@ BENCHMARK(BM_BatchVsSingle)->Arg(1)->Arg(8)->Arg(16)->Arg(64)->Arg(512);
 // Interface-EAS placement scoring: every Place() call evaluates all
 // candidate (core, OPP) pairs through one EvaluateBatch pass. The task's
 // demand pattern is long enough (4000 phases x ~6 candidates) to overflow
-// the 4096-entry joules memo, so successive quanta keep paying the batched
-// scoring pass instead of degenerating into pure memo hits. Items are
-// placements per second.
+// the service's 4096-entry fold cache, so successive quanta keep paying the
+// batched scoring pass instead of degenerating into pure cache hits. Items
+// are placements per second.
 void BM_EasScoreBatch(benchmark::State& state) {
   const CpuProfile profile = BigLittleProfile();
   const Duration quantum = Duration::Milliseconds(10.0);

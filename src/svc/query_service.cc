@@ -4,7 +4,6 @@
 #include <array>
 #include <cstring>
 #include <deque>
-#include <map>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -205,10 +204,10 @@ class QueryTimer {
 };
 
 // Whole-batch work scope for EvaluateBatch. Per-item spans there cover only
-// the pass-1 probe (memo/table hits are a few ns), while the per-batch
-// setup, the grouped SoA passes, and the fix-up pass run outside them — so
-// crediting work per item both undercounts (shared passes vanish) and
-// distorts the ratio (a memo hit measures ~20 ns of "work" against a fixed
+// the pass-1 probe (thread-local and table hits are a few ns), while the
+// per-batch setup, the grouped SoA passes, and the fix-up pass run outside
+// them — so crediting work per item both undercounts (shared passes vanish)
+// and distorts the ratio (a hit measures ~20 ns of "work" against a fixed
 // per-sample telemetry cost). Instead: 1-in-N *batches* (own gate, so the
 // per-item cadence that tests pin down is untouched) measure the whole call
 // and credit (duration - inner instrumentation) x interval as work. The
@@ -320,7 +319,8 @@ class QueryService::Snapshot {
   // Process-unique identity of this exact snapshot object. publish_seq_
   // cannot serve as one: the writer stores the snapshot before bumping the
   // sequence, so two readers observing equal sequences may hold different
-  // snapshots. Memoization keyed on this id can never mix worlds.
+  // snapshots. The thread-local fold cache keys on this id (in place of the
+  // generation and base-profile fingerprint), so it can never mix worlds.
   uint64_t unique_id() const { return unique_id_; }
 
  private:
@@ -460,6 +460,7 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> initial,
         static std::atomic<uint64_t> next{1};
         return next.fetch_add(1, std::memory_order_relaxed);
       }()),
+      cache_enabled_(options.cache_capacity > 0),
       snapshot_(std::move(initial)),
       publish_seq_(1),
       next_generation_(1),
@@ -467,19 +468,54 @@ QueryService::QueryService(std::shared_ptr<const Snapshot> initial,
       mc_pool_(std::make_unique<McPool>(options.mc_pool_threads,
                                         options.mc_queue_limit)) {}
 
+namespace {
+
+// The calling thread's snapshot slot (see SnapshotSlot), revalidated against
+// the owning service's publish sequence. Kept outside SnapshotSlot so
+// ~QueryService can release a snapshot the destroying thread still pins.
+class TlSnapshot {
+ public:
+  uint64_t svc_id = 0;
+  uint64_t seq = 0;
+  std::shared_ptr<const QueryService::Snapshot> snapshot;
+
+  static TlSnapshot& Get() {
+    thread_local TlSnapshot slot;
+    return slot;
+  }
+
+  // The calling thread's slot if it exists and is not yet destroyed (a
+  // service may be destroyed during thread or process exit), else null.
+  static TlSnapshot* IfLive() { return live_; }
+
+  // Releases the pinned snapshot if service `owner` pinned it.
+  void Release(uint64_t owner) {
+    if (svc_id == owner) {
+      svc_id = 0;
+      snapshot.reset();
+    }
+  }
+
+ private:
+  TlSnapshot() { live_ = this; }
+  ~TlSnapshot() { live_ = nullptr; }
+  TlSnapshot(const TlSnapshot&) = delete;
+  TlSnapshot& operator=(const TlSnapshot&) = delete;
+
+  // Constant-initialised, so it stays readable after the slot is gone.
+  static inline thread_local TlSnapshot* live_ = nullptr;
+};
+
+}  // namespace
+
 const std::shared_ptr<const QueryService::Snapshot>&
 QueryService::SnapshotSlot() const {
   // Per-thread snapshot cache, revalidated against publish_seq_: while no
   // writer publishes, acquisition is one atomic load instead of taking
-  // the snapshot mutex. A thread that stops querying keeps
-  // its last snapshot pinned until it queries again or exits — standard
-  // RCU-reader behaviour, bounded by the thread count.
-  struct TlSnapshot {
-    uint64_t svc_id = 0;
-    uint64_t seq = 0;
-    std::shared_ptr<const Snapshot> snapshot;
-  };
-  thread_local TlSnapshot tl;
+  // the snapshot mutex. A thread that stops querying keeps its last
+  // snapshot pinned until it queries again, exits, or destroys the service
+  // — standard RCU-reader behaviour, bounded by the thread count.
+  TlSnapshot& tl = TlSnapshot::Get();
   const uint64_t seq = publish_seq_.load(std::memory_order_acquire);
   if (tl.svc_id == svc_id_ && tl.seq == seq) {
     return tl.snapshot;
@@ -568,9 +604,24 @@ uint64_t QueryService::snapshot_generation() const {
   return AcquireSnapshot()->generation();
 }
 
-void QueryService::AppendCacheKeyPrefix(const Snapshot& snapshot,
-                                        const Query& query,
-                                        std::string& out) const {
+namespace {
+
+// The snapshot's base profile, or `storage` holding it merged with the
+// query's ECV overrides (query keys win).
+const EcvProfile& EffectiveProfile(const QueryService::Snapshot& snapshot,
+                                   const Query& query, EcvProfile& storage) {
+  if (query.profile.empty()) {
+    return snapshot.profile();
+  }
+  storage = snapshot.profile();
+  storage.MergeFrom(query.profile);
+  return storage;
+}
+
+// Appends the shard cache key: (program generation, interface, argument
+// fingerprints, effective-profile fingerprint).
+void AppendShardKey(const QueryService::Snapshot& snapshot, const Query& query,
+                    const std::string& profile_fingerprint, std::string& out) {
   out.append(reinterpret_cast<const char*>(&snapshot.bundle().generation),
              sizeof(uint64_t));
   out += query.interface;
@@ -579,29 +630,10 @@ void QueryService::AppendCacheKeyPrefix(const Snapshot& snapshot,
     arg.AppendFingerprint(out);
   }
   out.push_back('\x1f');
+  out += profile_fingerprint;
 }
 
-void QueryService::AppendCacheKey(const Snapshot& snapshot,
-                                  const Query& query,
-                                  std::string& out) const {
-  AppendCacheKeyPrefix(snapshot, query, out);
-  if (query.profile.empty()) {
-    out += snapshot.profile_fingerprint();
-  } else {
-    EcvProfile merged = snapshot.profile();
-    merged.MergeFrom(query.profile);
-    SvcCounters::Get().profile_fingerprints.Increment();
-    out += merged.Fingerprint();
-  }
-}
-
-std::string QueryService::CacheKey(const Snapshot& snapshot,
-                                   const Query& query) const {
-  std::string key;
-  key.reserve(96);
-  AppendCacheKey(snapshot, query, key);
-  return key;
-}
+}  // namespace
 
 DistMode QueryService::EffectiveMode(const Query& query) const {
   return query.dist_mode.value_or(options_.eval.dist_mode);
@@ -613,459 +645,39 @@ Result<CertifiedDistribution> QueryService::CertifiedOn(
   // profile, mode, threshold, calibration), so concurrent certified queries
   // dedup there; a program swap replaces the evaluator wholesale, which
   // rekeys by construction.
-  const Evaluator& evaluator = snapshot.bundle().evaluator;
-  if (query.profile.empty()) {
-    return evaluator.EvalCertifiedMode(query.interface, query.args,
-                                       snapshot.profile(),
-                                       options_.calibration, mode);
-  }
-  EcvProfile merged = snapshot.profile();
-  merged.MergeFrom(query.profile);
-  return evaluator.EvalCertifiedMode(query.interface, query.args, merged,
-                                     options_.calibration, mode);
+  EcvProfile merged;
+  return snapshot.bundle().evaluator.EvalCertifiedMode(
+      query.interface, query.args, EffectiveProfile(snapshot, query, merged),
+      options_.calibration, mode);
 }
+
+// --- Thread-local fold cache -------------------------------------------------
+//
+// Hashing and bit-level content compares shared by the thread-local fold
+// cache and EvaluateBatch's dedup table. Hash quality only costs probe time
+// — every lookup is confirmed by a full bit-level content compare — so the
+// mixers favour speed: forced inline (the per-item interface hash is the
+// batch loop's largest line item when outlined) and two accumulator lanes so
+// consecutive 8-byte chunks multiply in parallel instead of serialising on
+// one chain.
 
 namespace {
 
-// Per-thread set-associative fold cache: a repeated exact query is answered
-// with one key build, one hash, a scan of at most two cache lines of tags
-// and one string compare — no shard lock, no refcount traffic, and no write
-// to memory another thread touches (the LRU stamp a hit bumps is this
-// thread's own). Entries are keyed on the full cache key plus the owning
-// service's id. The answer path is gated on a non-zero shared-cache
-// capacity, so a deliberately uncached service still pays (and counts) one
-// shard miss per lookup. Entries are immutable shared_ptrs and the key
-// embeds the program generation and effective-profile fingerprint, so a
-// stale entry — even one outliving a shard eviction or snapshot swap — can
-// only ever answer with the exact fold its key names. Each entry pins its
-// fold until replaced, so the fold memory a thread can keep alive past
-// shard eviction is bounded by kEntries folds.
-//
-// Each key may live in either of two 8-way sets (picked by two independent
-// hash bit-fields) and fills an empty or least-recently-used way of either.
-// One set per key would not hold a hot set half the cache's size: 256
-// random keys overflow some set of a 128x4 or 64x8 single-choice layout in
-// most draws (simulated: >99% and 76%), while with two choices and 8 ways
-// no overflow appeared in 20,000 draws.
-class TlFoldCache {
- public:
-  struct Entry {
-    uint64_t svc_id = 0;  // 0: empty
-    uint64_t last_use = 0;
-    std::string key;
-    QueryService::SharedFold fold;
-  };
-
-  static TlFoldCache& Get() {
-    thread_local TlFoldCache cache;
-    return cache;
-  }
-
-  // The calling thread's cache if it has one that is not yet destroyed
-  // (a service may be destroyed during thread or process exit), else null.
-  static TlFoldCache* IfLive() { return live_; }
-
-  // Empties every entry `svc_id` filled, releasing the folds they pin. A
-  // dead service's entries can never answer (ids are never reused), but
-  // would keep its folds alive until evicted.
-  void Drop(uint64_t svc_id) {
-    for (size_t i = 0; i < kEntries; ++i) {
-      if (entries_[i].svc_id == svc_id) {
-        tags_[i / kWays].hash[i % kWays] = 0;
-        entries_[i] = Entry{};
-      }
-    }
-    uncached_pin_.reset();
-  }
-
-  // The entry holding (svc_id, key), or null.
-  Entry* Find(uint64_t svc_id, const std::string& key, uint64_t hash) {
-    for (const size_t set : {SetA(hash), SetB(hash)}) {
-      for (size_t way = 0; way < kWays; ++way) {
-        if (tags_[set].hash[way] != hash) {
-          continue;
-        }
-        Entry& entry = entries_[set * kWays + way];
-        if (entry.svc_id == svc_id && entry.key == key) {
-          entry.last_use = ++tick_;
-          return &entry;
-        }
-      }
-    }
-    return nullptr;
-  }
-
-  // Stores `fold` under (svc_id, key), which Find just missed, in an empty
-  // or else the least recently used way of the key's two sets.
-  Entry& Fill(uint64_t svc_id, const std::string& key, uint64_t hash,
-              QueryService::SharedFold fold) {
-    size_t victim = SetA(hash) * kWays;
-    for (const size_t set : {SetA(hash), SetB(hash)}) {
-      for (size_t i = set * kWays; i < (set + 1) * kWays; ++i) {
-        if (entries_[i].last_use < entries_[victim].last_use) {
-          victim = i;
-        }
-      }
-    }
-    tags_[victim / kWays].hash[victim % kWays] = hash;
-    Entry& entry = entries_[victim];
-    entry.svc_id = svc_id;
-    entry.last_use = ++tick_;
-    entry.key = key;  // assignment keeps capacity across refills
-    entry.fold = std::move(fold);
-    return entry;
-  }
-
-  // Pins the fold a service with the cache disabled just computed, so the
-  // raw pointer FoldCached returns outlives its local handle.
-  void PinUncached(QueryService::SharedFold fold) {
-    uncached_pin_ = std::move(fold);
-  }
-
- private:
-  static constexpr size_t kWays = 8;
-  static constexpr size_t kSets = 64;
-  static constexpr size_t kEntries = kSets * kWays;
-  static_assert((kSets & (kSets - 1)) == 0);
-
-  // One set's tags share a cache line, so a lookup reads at most two.
-  struct alignas(64) SetTags {
-    std::array<uint64_t, kWays> hash{};
-  };
-
-  TlFoldCache() : tags_(kSets), entries_(kEntries) { live_ = this; }
-  ~TlFoldCache() { live_ = nullptr; }
-  TlFoldCache(const TlFoldCache&) = delete;
-  TlFoldCache& operator=(const TlFoldCache&) = delete;
-
-  static size_t SetA(uint64_t hash) { return hash & (kSets - 1); }
-  static size_t SetB(uint64_t hash) { return (hash >> 32) & (kSets - 1); }
-
-  // Heap-allocated (~36 KiB per querying thread plus key bytes).
-  std::vector<SetTags> tags_;
-  std::vector<Entry> entries_;
-  uint64_t tick_ = 0;
-  QueryService::SharedFold uncached_pin_;
-  // Constant-initialised, so it stays readable after the cache is gone.
-  static inline thread_local TlFoldCache* live_ = nullptr;
-};
-
-}  // namespace
-
-QueryService::~QueryService() {
-  // Only this thread's cache is reachable; other threads' entries for this
-  // service age out under LRU or die with their thread.
-  if (TlFoldCache* cache = TlFoldCache::IfLive()) {
-    cache->Drop(svc_id_);
-  }
-}
-
-const QueryService::SharedFold* QueryService::LookupFold(
-    const std::string& key) const {
-  const bool use_tl = cache_.capacity() > 0;
-  // Phase spans (cache lookup, eval, fold) are recorded only inside a
-  // query the QueryTimer already chose to sample, so the unsampled fast
-  // path pays one thread-local bool read here.
-  const bool sampled = ObsSampler::Active();
-  const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
-  const uint64_t hash = std::hash<std::string>{}(key);
-  if (use_tl) {
-    if (TlFoldCache::Entry* entry =
-            TlFoldCache::Get().Find(svc_id_, key, hash)) {
-      SvcCounters::Get().cache_hits.Increment();
-      SvcCounters::Get().tl_fold_hits.Increment();
-      if (sampled) {
-        JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
-      }
-      return &entry->fold;
-    }
-    SvcCounters::Get().tl_fold_misses.Increment();
-  }
-  if (std::optional<SharedFold> hit = cache_.Get(key)) {
-    SvcCounters::Get().cache_hits.Increment();
-    TlFoldCache::Entry& entry =
-        TlFoldCache::Get().Fill(svc_id_, key, hash, std::move(*hit));
-    if (sampled) {
-      JournalPhase(JournalEventKind::kCacheLookup, /*a=*/2, lookup_t0);
-    }
-    return &entry.fold;
-  }
-  SvcCounters::Get().cache_misses.Increment();
-  if (sampled) {
-    JournalPhase(JournalEventKind::kCacheLookup, /*a=*/0, lookup_t0);
-  }
-  return nullptr;
-}
-
-void QueryService::StoreFold(const std::string& key, SharedFold entry) const {
-  if (cache_.Put(key, entry)) {
-    SvcCounters::Get().cache_evictions.Increment();
-    // Always-on: evictions are rare and explain hit-rate cliffs.
-    Journal::Global().Record(JournalEventKind::kShardEviction);
-  }
-  if (cache_.capacity() == 0) {
-    TlFoldCache::Get().PinUncached(std::move(entry));
-    return;
-  }
-  TlFoldCache::Get().Fill(svc_id_, key, std::hash<std::string>{}(key),
-                          std::move(entry));
-}
-
-Result<const QueryService::ExactFold*> QueryService::FoldCached(
-    const Snapshot& snapshot, const Query& query,
-    const std::string* key_hint) const {
-  // Thread-local scratch: steady-state key builds allocate nothing.
-  thread_local std::string scratch;
-  const std::string* key = key_hint;
-  if (key == nullptr) {
-    scratch.clear();
-    AppendCacheKey(snapshot, query, scratch);
-    key = &scratch;
-  }
-  if (const SharedFold* hit = LookupFold(*key)) {
-    return hit->get();  // pinned by the thread-local entry; no refcount bump
-  }
-  const bool sampled = ObsSampler::Active();
-  const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
-  const Evaluator& evaluator = snapshot.bundle().evaluator;
-  Result<SharedOutcomes> outcomes = [&]() -> Result<SharedOutcomes> {
-    if (query.profile.empty()) {
-      return evaluator.EnumerateShared(query.interface, query.args,
-                                       snapshot.profile());
-    }
-    EcvProfile merged = snapshot.profile();
-    merged.MergeFrom(query.profile);
-    return evaluator.EnumerateShared(query.interface, query.args, merged);
-  }();
-  if (!outcomes.ok()) {
-    return outcomes.status();  // errors are never cached
-  }
-  if (sampled) {
-    JournalPhase(JournalEventKind::kEval, (*outcomes)->size(), eval_t0);
-  }
-  // Fold through Distribution's canonical atom order — the exact path
-  // Evaluator::ExpectedEnergy takes — so service answers are bit-identical
-  // to the single-threaded engine's. Folding once at insert means a cache
-  // hit serves Expected and Distribution queries with no per-query fold.
-  const uint64_t fold_t0 = sampled ? ObsNowNs() : 0;
-  std::vector<Atom> atoms;
-  atoms.reserve((*outcomes)->size());
-  for (const WeightedOutcome& o : **outcomes) {
-    ECLARITY_ASSIGN_OR_RETURN(double joules,
-                              OutcomeJoules(o.value, options_.calibration));
-    atoms.push_back({joules, o.probability});
-  }
-  ECLARITY_ASSIGN_OR_RETURN(Distribution dist,
-                            Distribution::Categorical(std::move(atoms)));
-  const double mean = dist.Mean();
-  if (sampled) {
-    JournalPhase(JournalEventKind::kFold, dist.atoms().size(), fold_t0);
-  }
-  auto entry = std::make_shared<const ExactFold>(
-      ExactFold{std::move(dist), mean});
-  const ExactFold* raw = entry.get();
-  StoreFold(*key, std::move(entry));  // the thread-local cache pins `raw`
-  return raw;
-}
-
-Result<Energy> QueryService::ExpectedOn(const Snapshot& snapshot,
-                                        const Query& query) const {
-  const DistMode mode = EffectiveMode(query);
-  if (mode != DistMode::kEnumerate) {
-    ECLARITY_ASSIGN_OR_RETURN(CertifiedDistribution cd,
-                              CertifiedOn(snapshot, query, mode));
-    return Energy::Joules(cd.mean);
-  }
-  ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
-                            FoldCached(snapshot, query, nullptr));
-  return Energy::Joules(fold->mean);
-}
-
-Result<Energy> QueryService::Expected(const Query& query) const {
-  SvcCounters::Get().queries.Increment();
-  QueryTimer timer(options_.obs_sample_interval, QueryKind::kExpected);
-  const Snapshot& snapshot = AcquireSnapshotRef();
-  if (ObsSampler::Active()) {
-    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
-  }
-  return ExpectedOn(snapshot, query);
-}
-
-Result<Distribution> QueryService::EvalDistribution(const Query& query) const {
-  SvcCounters::Get().queries.Increment();
-  QueryTimer timer(options_.obs_sample_interval, QueryKind::kDistribution);
-  const Snapshot& snapshot = AcquireSnapshotRef();
-  if (ObsSampler::Active()) {
-    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
-  }
-  ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
-                            FoldCached(snapshot, query, nullptr));
-  return fold->distribution;
-}
-
-Result<Energy> QueryService::MonteCarloOn(const Snapshot& snapshot,
-                                          const Query& query) const {
-  SvcCounters::Get().mc_requests.Increment();
-  Result<Energy> result = InternalError("MC task never ran");
-  mc_pool_->RunAndWait([&] {
-    // The stream is a pure function of the query's seed: concurrent
-    // execution and single-threaded replay draw identical samples.
-    Rng rng(query.seed);
-    const Evaluator& evaluator = snapshot.bundle().evaluator;
-    if (query.profile.empty()) {
-      result = evaluator.MonteCarloMean(query.interface, query.args,
-                                        snapshot.profile(), rng, query.samples,
-                                        options_.calibration);
-      return;
-    }
-    EcvProfile merged = snapshot.profile();
-    merged.MergeFrom(query.profile);
-    result = evaluator.MonteCarloMean(query.interface, query.args, merged, rng,
-                                      query.samples, options_.calibration);
-  });
-  return result;
-}
-
-Result<Energy> QueryService::MonteCarlo(const Query& query) const {
-  SvcCounters::Get().queries.Increment();
-  QueryTimer timer(options_.obs_sample_interval, QueryKind::kMonteCarlo);
-  // MonteCarloOn blocks this thread until the pool task finishes, so the
-  // borrowed snapshot stays pinned for the whole call (and the sampled
-  // span covers queueing plus execution — the latency a caller sees).
-  const Snapshot& snapshot = AcquireSnapshotRef();
-  if (ObsSampler::Active()) {
-    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
-  }
-  return MonteCarloOn(snapshot, query);
-}
-
-Result<Value> QueryService::Sample(const Query& query) const {
-  SvcCounters::Get().queries.Increment();
-  QueryTimer timer(options_.obs_sample_interval, QueryKind::kSample);
-  const Snapshot& snapshot = AcquireSnapshotRef();
-  if (ObsSampler::Active()) {
-    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
-  }
-  Rng rng(query.seed);
-  const Evaluator& evaluator = snapshot.bundle().evaluator;
-  if (query.profile.empty()) {
-    return evaluator.EvalSampled(query.interface, query.args,
-                                 snapshot.profile(), rng);
-  }
-  EcvProfile merged = snapshot.profile();
-  merged.MergeFrom(query.profile);
-  return evaluator.EvalSampled(query.interface, query.args, merged, rng);
-}
-
-Result<QueryOutcome> QueryService::DispatchOn(const Snapshot& snapshot,
-                                              const Query& query) const {
-  QueryOutcome outcome;
-  outcome.kind = query.kind;
-  const DistMode mode = EffectiveMode(query);
-  switch (query.kind) {
-    case QueryKind::kExpected: {
-      if (mode != DistMode::kEnumerate) {
-        ECLARITY_ASSIGN_OR_RETURN(CertifiedDistribution cd,
-                                  CertifiedOn(snapshot, query, mode));
-        outcome.joules = cd.mean;
-        outcome.analytic = true;
-        outcome.error_bound = cd.mean_error_bound;
-        outcome.pruned_mass = cd.pruned_mass;
-        return outcome;
-      }
-      ECLARITY_ASSIGN_OR_RETURN(Energy energy, ExpectedOn(snapshot, query));
-      outcome.joules = energy.joules();
-      return outcome;
-    }
-    case QueryKind::kDistribution: {
-      if (mode != DistMode::kEnumerate) {
-        ECLARITY_ASSIGN_OR_RETURN(CertifiedDistribution cd,
-                                  CertifiedOn(snapshot, query, mode));
-        if (!cd.has_distribution) {
-          return FailedPreconditionError(
-              "moments-only evaluation materialises no distribution; "
-              "use kExpected");
-        }
-        outcome.joules = cd.mean;
-        outcome.distribution = std::move(cd.distribution);
-        outcome.analytic = true;
-        outcome.error_bound = cd.mean_error_bound;
-        outcome.pruned_mass = cd.pruned_mass;
-        return outcome;
-      }
-      ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
-                                FoldCached(snapshot, query, nullptr));
-      outcome.joules = fold->mean;
-      outcome.distribution = fold->distribution;
-      return outcome;
-    }
-    case QueryKind::kMonteCarlo: {
-      ECLARITY_ASSIGN_OR_RETURN(Energy energy, MonteCarloOn(snapshot, query));
-      outcome.joules = energy.joules();
-      return outcome;
-    }
-    case QueryKind::kSample: {
-      Rng rng(query.seed);
-      const Evaluator& evaluator = snapshot.bundle().evaluator;
-      Result<Value> value = [&]() -> Result<Value> {
-        if (query.profile.empty()) {
-          return evaluator.EvalSampled(query.interface, query.args,
-                                       snapshot.profile(), rng);
-        }
-        EcvProfile merged = snapshot.profile();
-        merged.MergeFrom(query.profile);
-        return evaluator.EvalSampled(query.interface, query.args, merged, rng);
-      }();
-      if (!value.ok()) {
-        return value.status();
-      }
-      outcome.sample = *value;
-      return outcome;
-    }
-  }
-  return InternalError("unknown query kind");
-}
-
-Result<QueryOutcome> QueryService::Dispatch(const Query& query) const {
-  SvcCounters::Get().queries.Increment();
-  QueryTimer timer(options_.obs_sample_interval, query.kind);
-  const Snapshot& snapshot = AcquireSnapshotRef();
-  if (ObsSampler::Active()) {
-    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
-  }
-  return DispatchOn(snapshot, query);
-}
-
-namespace {
-
-// --- EvaluateBatch dedup scratch --------------------------------------------
-//
-// The batch fast path must stay far below one Dispatch per item: N items
-// over K distinct queries pay K key builds and K cache lookups, not N.
-// Base-profile items dedup through an open-addressed table keyed by a raw
-// content hash (interface bytes + argument bits), so repeated items never
-// materialise a string cache key or touch a node-based map. The scratch is
-// thread-local and reused across batches — distinct records keep their key
-// strings' capacity, so the all-hit steady state allocates nothing.
-
-// Hash quality only costs probe time — every lookup is confirmed by a full
-// bit-level content compare — so the mixers favour speed: forced inline
-// (the per-item interface hash is the hot loop's largest line item when
-// outlined) and two accumulator lanes so consecutive 8-byte chunks multiply
-// in parallel instead of serialising on one chain.
 #if defined(__GNUC__)
-#define ECLARITY_BATCH_INLINE inline __attribute__((always_inline))
+#define ECLARITY_HOT_INLINE inline __attribute__((always_inline))
 #else
-#define ECLARITY_BATCH_INLINE inline
+#define ECLARITY_HOT_INLINE inline
 #endif
 
-ECLARITY_BATCH_INLINE uint64_t BatchHashMix(uint64_t h, uint64_t v) {
+constexpr uint64_t kHashSeed = 0x9E3779B97F4A7C15ull;
+
+ECLARITY_HOT_INLINE uint64_t HashMix(uint64_t h, uint64_t v) {
   h = (h ^ v) * 0x9E3779B97F4A7C15ull;
   return h ^ (h >> 32);
 }
 
-ECLARITY_BATCH_INLINE uint64_t BatchHashBytes(uint64_t h, const char* data,
-                                              size_t n) {
+ECLARITY_HOT_INLINE uint64_t HashBytes(uint64_t h, const char* data,
+                                       size_t n) {
   // Tails read a final overlapping 8-byte word instead of a variable-length
   // memcpy (which GCC lowers to a byte loop). Overlap double-mixes a few
   // bytes; harmless, every probe is confirmed by a full compare.
@@ -1114,28 +726,53 @@ ECLARITY_BATCH_INLINE uint64_t BatchHashBytes(uint64_t h, const char* data,
   return x ^ (x >> 32);
 }
 
-ECLARITY_BATCH_INLINE uint64_t BatchHashValue(uint64_t h, const Value& v,
-                                              std::string& scratch) {
+ECLARITY_HOT_INLINE uint64_t HashValue(uint64_t h, const Value& v,
+                                       std::string& scratch) {
   if (v.is_number()) {
     uint64_t bits;
     const double d = v.number();
     std::memcpy(&bits, &d, sizeof(bits));
     // One mix, kind-tagged by constant: number/bool collisions are possible
     // in principle and harmless (the content compare rejects them).
-    return BatchHashMix(h, bits ^ 0x4E554Dull);
+    return HashMix(h, bits ^ 0x4E554Dull);
   }
   if (v.is_bool()) {
-    return BatchHashMix(h, v.boolean() ? 'T' : 'F');
+    return HashMix(h, v.boolean() ? 'T' : 'F');
   }
   scratch.clear();
   v.AppendFingerprint(scratch);
-  return BatchHashBytes(h, scratch.data(), scratch.size());
+  return HashBytes(h, scratch.data(), scratch.size());
+}
+
+// Hash of a query's ECV-override fingerprint; 0 for a base-profile query.
+uint64_t OverrideHash(std::string_view override_fp) {
+  return override_fp.empty()
+             ? 0
+             : HashBytes(kHashSeed, override_fp.data(), override_fp.size());
+}
+
+// The fold-cache hash of (interface, argument bits, overrides). The final
+// multiply-xorshift spreads entropy into both of the fold cache's set-index
+// bit-fields: integral double arguments leave them low in entropy without
+// it, and a hot set of 256 keys then no longer fits.
+ECLARITY_HOT_INLINE uint64_t FoldHash(const Query& query,
+                                      uint64_t override_hash,
+                                      std::string& scratch) {
+  uint64_t h =
+      HashBytes(kHashSeed, query.interface.data(), query.interface.size());
+  for (const Value& arg : query.args) {
+    h = HashValue(h, arg, scratch);
+  }
+  h = HashMix(h, override_hash);
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  return h ^ (h >> 33);
 }
 
 // Bit-level equality, matching fingerprint keying exactly: distinct NaN or
-// ±0.0 bit patterns fingerprint differently, so they must not dedup.
-ECLARITY_BATCH_INLINE bool SameValueBits(const Value& a, const Value& b,
-                                         std::string& sa, std::string& sb) {
+// ±0.0 bit patterns fingerprint differently, so they must not match.
+ECLARITY_HOT_INLINE bool SameValueBits(const Value& a, const Value& b,
+                                       std::string& sa, std::string& sb) {
   if (a.is_number()) {
     if (!b.is_number()) {
       return false;
@@ -1161,39 +798,9 @@ ECLARITY_BATCH_INLINE bool SameValueBits(const Value& a, const Value& b,
   return sa == sb;
 }
 
-bool SameQueryContent(const Query& a, const Query& b, std::string& sa,
-                      std::string& sb) {
-  if (a.interface != b.interface || a.args.size() != b.args.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.args.size(); ++i) {
-    if (!SameValueBits(a.args[i], b.args[i], sa, sb)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// Cross-batch memo entry: a base-profile item repeated across batches is
-// answered straight from the pinned fold — no cache key build, no fold
-// cache lookup, no distinct record. An entry is valid only for the exact
-// (service, snapshot) pair that filled it; both ids are process-unique and
-// never reused, and the pinned fold is immutable, so a stale entry can
-// only miss, never answer wrongly. Like the single-dispatch TL slot, the
-// memo is gated on a non-zero fold-cache capacity — a deliberately
-// uncached service pays (and counts) every lookup.
-struct BatchMemoEntry {
-  uint64_t hash = 0;
-  uint64_t svc = 0;
-  uint64_t snap = 0;  // 0: empty
-  std::string interface;
-  std::vector<Value> args;
-  QueryService::SharedFold fold;
-};
-
 // Inline chunked byte compare: interface names are short (tens of bytes),
 // so the libc memcmp call overhead would dominate the compare itself.
-ECLARITY_BATCH_INLINE bool SameBytes(const char* a, const char* b, size_t n) {
+ECLARITY_HOT_INLINE bool SameBytes(const char* a, const char* b, size_t n) {
   if (n >= 8) {
     size_t i = 0;
     for (; i + 8 <= n; i += 8) {
@@ -1223,71 +830,515 @@ ECLARITY_BATCH_INLINE bool SameBytes(const char* a, const char* b, size_t n) {
   return true;
 }
 
-ECLARITY_BATCH_INLINE bool MemoMatches(const BatchMemoEntry& m, const Query& q,
-                                       std::string& sa, std::string& sb) {
-  if (m.interface.size() != q.interface.size() ||
-      m.args.size() != q.args.size() ||
-      !SameBytes(m.interface.data(), q.interface.data(),
-                 q.interface.size())) {
+// Whether `query` has exactly the content (interface, argument bits) of a
+// stored (interface, args) pair.
+ECLARITY_HOT_INLINE bool SameContent(const std::string& interface,
+                                     const std::vector<Value>& args,
+                                     const Query& query, std::string& sa,
+                                     std::string& sb) {
+  if (interface.size() != query.interface.size() ||
+      args.size() != query.args.size() ||
+      !SameBytes(interface.data(), query.interface.data(),
+                 interface.size())) {
     return false;
   }
-  for (size_t i = 0; i < m.args.size(); ++i) {
-    if (!SameValueBits(m.args[i], q.args[i], sa, sb)) {
+  for (size_t i = 0; i < args.size(); ++i) {
+    if (!SameValueBits(args[i], query.args[i], sa, sb)) {
       return false;
     }
   }
   return true;
 }
 
-void FillMemo(BatchMemoEntry& m, uint64_t hash, uint64_t svc, uint64_t snap,
-              const Query& q, QueryService::SharedFold fold) {
-  m.hash = hash;
-  m.svc = svc;
-  m.snap = snap;
-  m.interface = q.interface;  // assignment keeps capacity across refills
-  m.args = q.args;
-  m.fold = std::move(fold);
+}  // namespace
+
+// What a thread-local fold-cache entry is keyed on. The snapshot's unique id
+// stands in for the program generation and the base profile, so together
+// with the query's interface, argument bits and own overrides it names one
+// effective query — found without building the shard key, running
+// std::hash or merging a profile.
+struct QueryService::FoldKey {
+  uint64_t svc_id;
+  uint64_t snap_id;
+  const Query& query;
+  std::string_view override_fp;  // query.profile.Fingerprint(); "" for none
+  uint64_t hash;                 // FoldHash(query, OverrideHash(override_fp))
+};
+
+// Per-thread set-associative fold cache, the one private cache a thread
+// keeps of exact folds: single dispatch and EvaluateBatch both probe it
+// before anything else. A hit hashes the query content, scans at most two
+// cache lines of tags and compares content bit for bit — no key build, no
+// shard lock, no refcount traffic, and no write to memory another thread
+// touches (the LRU stamp a hit bumps is this thread's own). The answer path
+// is gated on a non-zero shared-cache capacity, so a deliberately uncached
+// service still pays (and counts) one shard miss per lookup. Entries are
+// immutable shared_ptrs, and service and snapshot ids are process-unique
+// and never reused, so a stale entry — even one outliving a shard eviction
+// or snapshot swap — can only miss, never answer for another world. Each
+// entry pins its fold until replaced, so the fold memory a thread can keep
+// alive past shard eviction is bounded by kEntries folds.
+//
+// Each key may live in either of two 8-way sets (picked by two independent
+// hash bit-fields) and fills an empty or least-recently-used way of either.
+// One set per key would not hold a hot set half the cache's size: 256
+// random keys overflow some set of a 128x4 or 64x8 single-choice layout in
+// most draws (simulated: >99% and 76%), while with two choices and 8 ways
+// no overflow appeared in 20,000 draws.
+class QueryService::TlFoldCache {
+ public:
+  struct Entry {
+    uint64_t svc_id = 0;  // 0: empty
+    uint64_t snap_id = 0;
+    uint64_t last_use = 0;
+    std::string interface;
+    std::vector<Value> args;
+    std::string override_fp;
+    SharedFold fold;
+  };
+
+  static TlFoldCache& Get() {
+    thread_local TlFoldCache cache;
+    return cache;
+  }
+
+  // The calling thread's cache if it has one that is not yet destroyed
+  // (a service may be destroyed during thread or process exit), else null.
+  static TlFoldCache* IfLive() { return live_; }
+
+  // Empties every entry `svc_id` filled, releasing the folds they pin. A
+  // dead service's entries can never answer (ids are never reused), but
+  // would keep its folds alive until evicted.
+  void Drop(uint64_t svc_id) {
+    for (size_t i = 0; i < kEntries; ++i) {
+      if (entries_[i].svc_id == svc_id) {
+        tags_[i / kWays].hash[i % kWays] = 0;
+        entries_[i] = Entry{};
+      }
+    }
+    uncached_pin_.reset();
+  }
+
+  // The entry holding `key`, or null.
+  Entry* Find(const FoldKey& key) {
+    if (Entry* entry = FindIn(SetA(key.hash), key)) {
+      return entry;
+    }
+    return FindIn(SetB(key.hash), key);
+  }
+
+  // Stores `fold` under `key`, which Find just missed, in an empty or else
+  // the least recently used way of the key's two sets.
+  Entry& Fill(const FoldKey& key, SharedFold fold) {
+    size_t victim = SetA(key.hash) * kWays;
+    for (const size_t set : {SetA(key.hash), SetB(key.hash)}) {
+      for (size_t i = set * kWays; i < (set + 1) * kWays; ++i) {
+        if (entries_[i].last_use < entries_[victim].last_use) {
+          victim = i;
+        }
+      }
+    }
+    tags_[victim / kWays].hash[victim % kWays] = key.hash;
+    Entry& entry = entries_[victim];
+    entry.svc_id = key.svc_id;
+    entry.snap_id = key.snap_id;
+    entry.last_use = ++tick_;
+    // Assignments keep capacity across refills.
+    entry.interface = key.query.interface;
+    entry.args = key.query.args;
+    entry.override_fp = key.override_fp;
+    entry.fold = std::move(fold);
+    return entry;
+  }
+
+  // Pins the fold a service with the cache disabled just computed, so the
+  // raw pointer FoldCached returns outlives its local handle.
+  void PinUncached(SharedFold fold) { uncached_pin_ = std::move(fold); }
+
+ private:
+  static constexpr size_t kWays = 8;
+  static constexpr size_t kSets = 64;
+  static constexpr size_t kEntries = kSets * kWays;
+  static_assert((kSets & (kSets - 1)) == 0);
+
+  // One set's tags share a cache line, so a lookup reads at most two.
+  struct alignas(64) SetTags {
+    std::array<uint64_t, kWays> hash{};
+  };
+
+  TlFoldCache() : tags_(kSets), entries_(kEntries) { live_ = this; }
+  ~TlFoldCache() { live_ = nullptr; }
+  TlFoldCache(const TlFoldCache&) = delete;
+  TlFoldCache& operator=(const TlFoldCache&) = delete;
+
+  Entry* FindIn(size_t set, const FoldKey& key) {
+    for (size_t way = 0; way < kWays; ++way) {
+      if (tags_[set].hash[way] != key.hash) {
+        continue;
+      }
+      Entry& entry = entries_[set * kWays + way];
+      if (entry.svc_id == key.svc_id && entry.snap_id == key.snap_id &&
+          entry.override_fp == key.override_fp &&
+          SameContent(entry.interface, entry.args, key.query, va_, vb_)) {
+        entry.last_use = ++tick_;
+        return &entry;
+      }
+    }
+    return nullptr;
+  }
+
+  static size_t SetA(uint64_t hash) { return hash & (kSets - 1); }
+  static size_t SetB(uint64_t hash) { return (hash >> 32) & (kSets - 1); }
+
+  // Heap-allocated (~68 KiB per querying thread plus key bytes).
+  std::vector<SetTags> tags_;
+  std::vector<Entry> entries_;
+  uint64_t tick_ = 0;
+  SharedFold uncached_pin_;
+  std::string va_;  // energy-argument compare scratch
+  std::string vb_;
+  // Constant-initialised, so it stays readable after the cache is gone.
+  static inline thread_local TlFoldCache* live_ = nullptr;
+};
+
+QueryService::~QueryService() {
+  // Only this thread's state is reachable. Other threads' fold entries for
+  // this service age out under LRU or die with their thread, and their
+  // snapshot slots let go on their next acquisition or at thread exit.
+  if (TlFoldCache* cache = TlFoldCache::IfLive()) {
+    cache->Drop(svc_id_);
+  }
+  if (TlSnapshot* slot = TlSnapshot::IfLive()) {
+    slot->Release(svc_id_);
+  }
 }
 
-// One lane per distinct cache key. Cache hits resolve in pass 1 through the
-// same LookupFold (and counters) as single dispatch; misses become lanes of
-// the grouped SoA passes. Fold copies are cheap: the distribution's atoms
-// are shared, not cloned.
+const QueryService::SharedFold* QueryService::LookupShard(
+    const std::string& key, const FoldKey& tl_key) const {
+  std::optional<SharedFold> hit = cache_.Get(key);
+  if (!hit.has_value()) {
+    SvcCounters::Get().cache_misses.Increment();
+    return nullptr;
+  }
+  SvcCounters::Get().cache_hits.Increment();
+  return &TlFoldCache::Get().Fill(tl_key, std::move(*hit)).fold;
+}
+
+void QueryService::StoreFold(const std::string& key, const FoldKey& tl_key,
+                             SharedFold entry) const {
+  if (cache_.Put(key, entry)) {
+    SvcCounters::Get().cache_evictions.Increment();
+    // Always-on: evictions are rare and explain hit-rate cliffs.
+    Journal::Global().Record(JournalEventKind::kShardEviction);
+  }
+  if (!cache_enabled_) {
+    TlFoldCache::Get().PinUncached(std::move(entry));
+    return;
+  }
+  TlFoldCache::Get().Fill(tl_key, std::move(entry));
+}
+
+Result<const QueryService::ExactFold*> QueryService::FoldCached(
+    const Snapshot& snapshot, const Query& query) const {
+  // Phase spans (cache lookup, eval, fold) are recorded only inside a
+  // query the QueryTimer already chose to sample, so the unsampled fast
+  // path pays one thread-local bool read here.
+  const bool sampled = ObsSampler::Active();
+  const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
+  // Thread-local scratch: steady-state base-profile lookups allocate
+  // nothing.
+  thread_local std::string override_fp;
+  thread_local std::string value_scratch;
+  thread_local std::string key;
+  override_fp.clear();
+  if (!query.profile.empty()) {
+    override_fp = query.profile.Fingerprint();
+  }
+  const FoldKey tl_key{svc_id_, snapshot.unique_id(), query, override_fp,
+                       FoldHash(query, OverrideHash(override_fp),
+                                value_scratch)};
+  if (cache_enabled_) {
+    if (TlFoldCache::Entry* entry = TlFoldCache::Get().Find(tl_key)) {
+      SvcCounters::Get().cache_hits.Increment();
+      SvcCounters::Get().tl_fold_hits.Increment();
+      if (sampled) {
+        JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
+      }
+      return entry->fold.get();  // pinned by the entry; no refcount bump
+    }
+    SvcCounters::Get().tl_fold_misses.Increment();
+  }
+  // A thread-local miss builds the shard key, merging an override once for
+  // both the key and the evaluation.
+  EcvProfile merged;
+  const EcvProfile& profile = EffectiveProfile(snapshot, query, merged);
+  key.clear();
+  if (query.profile.empty()) {
+    AppendShardKey(snapshot, query, snapshot.profile_fingerprint(), key);
+  } else {
+    SvcCounters::Get().profile_fingerprints.Increment();
+    AppendShardKey(snapshot, query, merged.Fingerprint(), key);
+  }
+  const SharedFold* hit = LookupShard(key, tl_key);
+  if (sampled) {
+    JournalPhase(JournalEventKind::kCacheLookup, hit != nullptr ? 2 : 0,
+                 lookup_t0);
+  }
+  if (hit != nullptr) {
+    return hit->get();
+  }
+  const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
+  Result<SharedOutcomes> outcomes = snapshot.bundle().evaluator.EnumerateShared(
+      query.interface, query.args, profile);
+  if (!outcomes.ok()) {
+    return outcomes.status();  // errors are never cached
+  }
+  if (sampled) {
+    JournalPhase(JournalEventKind::kEval, (*outcomes)->size(), eval_t0);
+  }
+  // Fold through Distribution's canonical atom order — the exact path
+  // Evaluator::ExpectedEnergy takes — so service answers are bit-identical
+  // to the single-threaded engine's. Folding once at insert means a cache
+  // hit serves Expected and Distribution queries with no per-query fold.
+  const uint64_t fold_t0 = sampled ? ObsNowNs() : 0;
+  std::vector<Atom> atoms;
+  atoms.reserve((*outcomes)->size());
+  for (const WeightedOutcome& o : **outcomes) {
+    ECLARITY_ASSIGN_OR_RETURN(double joules,
+                              OutcomeJoules(o.value, options_.calibration));
+    atoms.push_back({joules, o.probability});
+  }
+  ECLARITY_ASSIGN_OR_RETURN(Distribution dist,
+                            Distribution::Categorical(std::move(atoms)));
+  const double mean = dist.Mean();
+  if (sampled) {
+    JournalPhase(JournalEventKind::kFold, dist.atoms().size(), fold_t0);
+  }
+  auto entry = std::make_shared<const ExactFold>(
+      ExactFold{std::move(dist), mean});
+  const ExactFold* raw = entry.get();
+  StoreFold(key, tl_key, std::move(entry));  // the thread-local cache pins `raw`
+  return raw;
+}
+
+Result<Energy> QueryService::ExpectedOn(const Snapshot& snapshot,
+                                        const Query& query) const {
+  const DistMode mode = EffectiveMode(query);
+  if (mode != DistMode::kEnumerate) {
+    ECLARITY_ASSIGN_OR_RETURN(CertifiedDistribution cd,
+                              CertifiedOn(snapshot, query, mode));
+    return Energy::Joules(cd.mean);
+  }
+  ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold, FoldCached(snapshot, query));
+  return Energy::Joules(fold->mean);
+}
+
+Result<Energy> QueryService::Expected(const Query& query) const {
+  SvcCounters::Get().queries.Increment();
+  QueryTimer timer(options_.obs_sample_interval, QueryKind::kExpected);
+  const Snapshot& snapshot = AcquireSnapshotRef();
+  if (ObsSampler::Active()) {
+    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
+  }
+  return ExpectedOn(snapshot, query);
+}
+
+Result<Distribution> QueryService::EvalDistribution(const Query& query) const {
+  SvcCounters::Get().queries.Increment();
+  QueryTimer timer(options_.obs_sample_interval, QueryKind::kDistribution);
+  const Snapshot& snapshot = AcquireSnapshotRef();
+  if (ObsSampler::Active()) {
+    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
+  }
+  ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold, FoldCached(snapshot, query));
+  return fold->distribution;
+}
+
+Result<Energy> QueryService::MonteCarloOn(const Snapshot& snapshot,
+                                          const Query& query) const {
+  SvcCounters::Get().mc_requests.Increment();
+  Result<Energy> result = InternalError("MC task never ran");
+  mc_pool_->RunAndWait([&] {
+    // The stream is a pure function of the query's seed: concurrent
+    // execution and single-threaded replay draw identical samples.
+    Rng rng(query.seed);
+    EcvProfile merged;
+    result = snapshot.bundle().evaluator.MonteCarloMean(
+        query.interface, query.args, EffectiveProfile(snapshot, query, merged),
+        rng, query.samples, options_.calibration);
+  });
+  return result;
+}
+
+Result<Energy> QueryService::MonteCarlo(const Query& query) const {
+  SvcCounters::Get().queries.Increment();
+  QueryTimer timer(options_.obs_sample_interval, QueryKind::kMonteCarlo);
+  // MonteCarloOn blocks this thread until the pool task finishes, so the
+  // borrowed snapshot stays pinned for the whole call (and the sampled
+  // span covers queueing plus execution — the latency a caller sees).
+  const Snapshot& snapshot = AcquireSnapshotRef();
+  if (ObsSampler::Active()) {
+    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
+  }
+  return MonteCarloOn(snapshot, query);
+}
+
+namespace {
+
+Result<Value> SampleOn(const QueryService::Snapshot& snapshot,
+                       const Query& query) {
+  Rng rng(query.seed);
+  EcvProfile merged;
+  return snapshot.bundle().evaluator.EvalSampled(
+      query.interface, query.args, EffectiveProfile(snapshot, query, merged),
+      rng);
+}
+
+}  // namespace
+
+Result<Value> QueryService::Sample(const Query& query) const {
+  SvcCounters::Get().queries.Increment();
+  QueryTimer timer(options_.obs_sample_interval, QueryKind::kSample);
+  const Snapshot& snapshot = AcquireSnapshotRef();
+  if (ObsSampler::Active()) {
+    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
+  }
+  return SampleOn(snapshot, query);
+}
+
+Result<QueryOutcome> QueryService::DispatchOn(const Snapshot& snapshot,
+                                              const Query& query) const {
+  QueryOutcome outcome;
+  outcome.kind = query.kind;
+  const DistMode mode = EffectiveMode(query);
+  switch (query.kind) {
+    case QueryKind::kExpected: {
+      if (mode != DistMode::kEnumerate) {
+        ECLARITY_ASSIGN_OR_RETURN(CertifiedDistribution cd,
+                                  CertifiedOn(snapshot, query, mode));
+        outcome.joules = cd.mean;
+        outcome.analytic = true;
+        outcome.error_bound = cd.mean_error_bound;
+        outcome.pruned_mass = cd.pruned_mass;
+        return outcome;
+      }
+      ECLARITY_ASSIGN_OR_RETURN(Energy energy, ExpectedOn(snapshot, query));
+      outcome.joules = energy.joules();
+      return outcome;
+    }
+    case QueryKind::kDistribution: {
+      if (mode != DistMode::kEnumerate) {
+        ECLARITY_ASSIGN_OR_RETURN(CertifiedDistribution cd,
+                                  CertifiedOn(snapshot, query, mode));
+        if (!cd.has_distribution) {
+          return FailedPreconditionError(
+              "moments-only evaluation materialises no distribution; "
+              "use kExpected");
+        }
+        outcome.joules = cd.mean;
+        outcome.distribution = std::move(cd.distribution);
+        outcome.analytic = true;
+        outcome.error_bound = cd.mean_error_bound;
+        outcome.pruned_mass = cd.pruned_mass;
+        return outcome;
+      }
+      ECLARITY_ASSIGN_OR_RETURN(const ExactFold* fold,
+                                FoldCached(snapshot, query));
+      outcome.joules = fold->mean;
+      outcome.distribution = fold->distribution;
+      return outcome;
+    }
+    case QueryKind::kMonteCarlo: {
+      ECLARITY_ASSIGN_OR_RETURN(Energy energy, MonteCarloOn(snapshot, query));
+      outcome.joules = energy.joules();
+      return outcome;
+    }
+    case QueryKind::kSample: {
+      ECLARITY_ASSIGN_OR_RETURN(Value value, SampleOn(snapshot, query));
+      outcome.sample = std::move(value);
+      return outcome;
+    }
+  }
+  return InternalError("unknown query kind");
+}
+
+Result<QueryOutcome> QueryService::Dispatch(const Query& query) const {
+  SvcCounters::Get().queries.Increment();
+  QueryTimer timer(options_.obs_sample_interval, query.kind);
+  const Snapshot& snapshot = AcquireSnapshotRef();
+  if (ObsSampler::Active()) {
+    JournalInstant(JournalEventKind::kSnapshotPin, snapshot.generation());
+  }
+  return DispatchOn(snapshot, query);
+}
+
+namespace {
+
+// --- EvaluateBatch dedup scratch --------------------------------------------
+//
+// The batch fast path must stay far below one Dispatch per item: every item
+// probes the thread-local fold cache by content hash, and N misses over K
+// distinct queries pay K shard-key builds and K shard lookups, not N. The
+// misses dedup through an open-addressed table keyed by the same content
+// hash, so repeated items never materialise a string key or touch a
+// node-based map. The scratch is thread-local and reused across batches —
+// distinct records keep their key strings' capacity, so the all-hit steady
+// state allocates nothing for base-profile items.
+
+// One distinct override profile of the batch, interned by its fingerprint
+// (the override_index key), so content matches compare overrides by
+// pointer.
+struct BatchOverride {
+  std::string_view fingerprint;  // the override_index key
+  uint64_t hash = 0;             // OverrideHash(fingerprint)
+  // The base profile merged with the override and its fingerprint, made on
+  // the first thread-local miss that needs the shard key (`merged_fp` is
+  // empty until then: a non-empty override never fingerprints empty).
+  EcvProfile merged;
+  std::string merged_fp;
+};
+
+// One record per distinct thread-local miss. Shard hits resolve in pass 1
+// through the same LookupShard (and counters) as single dispatch; shard
+// misses become lanes of the grouped SoA passes. Fold copies are cheap: the
+// distribution's atoms are shared, not cloned.
 struct BatchDistinct {
-  std::string key;  // full fold-cache key, built once per distinct
-  const Query* query = nullptr;
-  const EcvProfile* profile = nullptr;  // effective (merged or base)
+  const Query* query = nullptr;           // first item with this content
+  BatchOverride* overrides = nullptr;     // null: base profile
+  uint64_t hash = 0;                      // FoldHash of the content
+  std::string key;                        // shard key
+  const EcvProfile* profile = nullptr;    // effective (merged or base)
   QueryService::SharedFold fold;
   Status error;
   bool resolved = false;
-  // Memo slot to fill once this distinct resolves (base-profile items
-  // only, and only when the fold cache is enabled).
-  BatchMemoEntry* memo_slot = nullptr;
-  uint64_t memo_hash = 0;
 };
 
-struct EffProfileEntry {
-  EcvProfile merged;
-  std::string fingerprint;
-};
+std::string_view FingerprintOf(const BatchOverride* overrides) {
+  return overrides != nullptr ? overrides->fingerprint : std::string_view();
+}
+
+// Answers a batch slot from an exact fold, in place: QueryOutcome is large
+// enough that the construct-then-move idiom dominates the hit path.
+ECLARITY_HOT_INLINE void SetFold(QueryOutcome& outcome, QueryKind kind,
+                                 const QueryService::ExactFold& fold) {
+  outcome.kind = kind;
+  outcome.joules = fold.mean;
+  if (kind == QueryKind::kDistribution) {
+    outcome.distribution = fold.distribution;
+  }
+}
 
 struct BatchScratch {
   struct Slot {
     uint32_t stamp = 0;
     uint32_t idx = 0;
   };
-  static constexpr size_t kMemoSlots = 512;  // direct-mapped, power of two
-  std::vector<BatchMemoEntry> memo;          // allocated on first use
   std::vector<Slot> table;  // open-addressed; size is a power of two
   uint32_t stamp = 0;
   std::vector<BatchDistinct> distincts;  // [0, live) valid this batch
   size_t live = 0;
   std::vector<int32_t> item_distinct;  // -1: answered in pass 1
-  // Override-carrying items take the interned slow path: one base-profile
-  // merge + fingerprint per distinct override, string-keyed distinct dedup.
-  std::deque<EffProfileEntry> eff_profiles;
-  std::unordered_map<std::string, const EffProfileEntry*> override_index;
-  std::unordered_map<std::string, uint32_t> key_index;
+  std::unordered_map<std::string, BatchOverride> override_index;
   std::string va;
   std::string vb;
 
@@ -1307,11 +1358,7 @@ struct BatchScratch {
       stamp = 1;
     }
     if (!override_index.empty()) {
-      eff_profiles.clear();
       override_index.clear();
-    }
-    if (!key_index.empty()) {
-      key_index.clear();
     }
   }
 
@@ -1320,16 +1367,25 @@ struct BatchScratch {
       distincts.emplace_back();
     }
     BatchDistinct& d = distincts[live];
-    d.key.clear();  // keeps capacity across batches
     d.query = nullptr;
+    d.overrides = nullptr;
+    d.hash = 0;
+    d.key.clear();  // keeps capacity across batches
     d.profile = nullptr;
     d.fold = nullptr;
     d.error = Status();
     d.resolved = false;
-    d.memo_slot = nullptr;
-    d.memo_hash = 0;
     idx_out = static_cast<uint32_t>(live++);
     return d;
+  }
+
+  BatchOverride& Intern(const EcvProfile& overrides) {
+    auto [it, fresh] = override_index.try_emplace(overrides.Fingerprint());
+    if (fresh) {
+      it->second.fingerprint = it->first;
+      it->second.hash = OverrideHash(it->first);
+    }
+    return it->second;
   }
 };
 
@@ -1357,14 +1413,12 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
   thread_local BatchScratch scratch;
   BatchScratch& sc = scratch;
   sc.Begin(batch.size());
-  const EcvProfile* base_profile = &snapshot.profile();
-  const std::string& base_fp = snapshot.profile_fingerprint();
-  const uint32_t mask = static_cast<uint32_t>(sc.table.size() - 1);
-  const bool memo_on = cache_.capacity() > 0;
+  TlFoldCache& tl = TlFoldCache::Get();
   const uint64_t snap_id = snapshot.unique_id();
-  if (memo_on && sc.memo.empty()) {
-    sc.memo.resize(BatchScratch::kMemoSlots);
-  }
+  const uint32_t mask = static_cast<uint32_t>(sc.table.size() - 1);
+  // Thread-local outcomes are counted here and added once per batch.
+  uint64_t tl_hits = 0;
+  uint64_t tl_misses = 0;
   bool any_miss = false;
 
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -1384,156 +1438,144 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
       results[i] = DispatchOn(snapshot, query);
       continue;
     }
+    const bool sampled = ObsSampler::Active();
+    const uint64_t lookup_t0 = sampled ? ObsNowNs() : 0;
+    BatchOverride* overrides =
+        query.profile.empty() ? nullptr : &sc.Intern(query.profile);
+    const FoldKey tl_key{
+        svc_id_, snap_id, query, FingerprintOf(overrides),
+        FoldHash(query, overrides != nullptr ? overrides->hash : 0, sc.va)};
+    if (cache_enabled_) {
+      if (const TlFoldCache::Entry* entry = tl.Find(tl_key)) {
+        ++tl_hits;
+        if (sampled) {
+          JournalPhase(JournalEventKind::kCacheLookup, /*a=*/1, lookup_t0);
+        }
+        SetFold(*results[i], query.kind, *entry->fold);
+        continue;
+      }
+      ++tl_misses;
+    }
 
-    int32_t idx;
-    if (query.profile.empty()) {
-      uint64_t h = BatchHashBytes(0x9E3779B97F4A7C15ull,
-                                  query.interface.data(),
-                                  query.interface.size());
-      for (const Value& arg : query.args) {
-        h = BatchHashValue(h, arg, sc.va);
-      }
-      BatchMemoEntry* memo_slot = nullptr;
-      if (memo_on) {
-        BatchMemoEntry& m = sc.memo[h & (BatchScratch::kMemoSlots - 1)];
-        if (m.snap == snap_id && m.svc == svc_id_ && m.hash == h &&
-            MemoMatches(m, query, sc.va, sc.vb)) {
-          QueryOutcome& outcome = *results[i];
-          outcome.kind = query.kind;
-          outcome.joules = m.fold->mean;
-          if (query.kind == QueryKind::kDistribution) {
-            outcome.distribution = m.fold->distribution;
-          }
-          continue;
-        }
-        memo_slot = &m;
-      }
-      uint32_t pos = static_cast<uint32_t>(h) & mask;
-      for (;;) {
-        BatchScratch::Slot& slot = sc.table[pos];
-        if (slot.stamp != sc.stamp) {
-          uint32_t fresh_idx;
-          BatchDistinct& d = sc.Acquire(fresh_idx);
-          d.query = &query;
-          d.profile = base_profile;
-          d.memo_slot = memo_slot;
-          d.memo_hash = h;
-          AppendCacheKeyPrefix(snapshot, query, d.key);
-          d.key += base_fp;
-          if (const SharedFold* hit = LookupFold(d.key)) {
-            d.fold = *hit;
-            d.resolved = true;
-            if (memo_slot != nullptr) {
-              FillMemo(*memo_slot, h, svc_id_, snap_id, query, d.fold);
-            }
-          }
-          slot.stamp = sc.stamp;
-          slot.idx = fresh_idx;
-          idx = static_cast<int32_t>(fresh_idx);
-          break;
-        }
-        // Only base-profile distincts enter the table, so a content match
-        // is a key match (same prefix, same base fingerprint).
-        BatchDistinct& d = sc.distincts[slot.idx];
-        if (SameQueryContent(*d.query, query, sc.va, sc.vb)) {
-          idx = static_cast<int32_t>(slot.idx);
-          break;
-        }
-        pos = (pos + 1) & mask;
-      }
-    } else {
-      // Effective profiles, hoisted: one base-profile merge + one
-      // fingerprint per *distinct* override in the batch, not per item.
-      auto [it, fresh] =
-          sc.override_index.try_emplace(query.profile.Fingerprint(), nullptr);
-      if (fresh) {
-        EffProfileEntry& eff = sc.eff_profiles.emplace_back();
-        eff.merged = snapshot.profile();
-        eff.merged.MergeFrom(query.profile);
-        SvcCounters::Get().profile_fingerprints.Increment();
-        eff.fingerprint = eff.merged.Fingerprint();
-        it->second = &eff;
-      }
-      const EffProfileEntry* eff = it->second;
-      thread_local std::string key_scratch;
-      key_scratch.clear();
-      AppendCacheKeyPrefix(snapshot, query, key_scratch);
-      key_scratch += eff->fingerprint;
-      auto [kit, knew] = sc.key_index.try_emplace(key_scratch, 0);
-      if (knew) {
+    uint32_t pos = static_cast<uint32_t>(tl_key.hash) & mask;
+    for (;; pos = (pos + 1) & mask) {
+      BatchScratch::Slot& slot = sc.table[pos];
+      if (slot.stamp != sc.stamp) {
         uint32_t fresh_idx;
         BatchDistinct& d = sc.Acquire(fresh_idx);
-        d.key = key_scratch;
         d.query = &query;
-        d.profile = &eff->merged;
-        if (const SharedFold* hit = LookupFold(d.key)) {
+        d.overrides = overrides;
+        d.hash = tl_key.hash;
+        if (overrides == nullptr) {
+          d.profile = &snapshot.profile();
+          AppendShardKey(snapshot, query, snapshot.profile_fingerprint(),
+                         d.key);
+        } else {
+          // One base-profile merge + fingerprint per distinct override in
+          // the batch, and only once the override misses thread-locally.
+          if (overrides->merged_fp.empty()) {
+            EffectiveProfile(snapshot, query, overrides->merged);
+            SvcCounters::Get().profile_fingerprints.Increment();
+            overrides->merged_fp = overrides->merged.Fingerprint();
+          }
+          d.profile = &overrides->merged;
+          AppendShardKey(snapshot, query, overrides->merged_fp, d.key);
+        }
+        const SharedFold* hit = LookupShard(d.key, tl_key);
+        if (sampled) {
+          JournalPhase(JournalEventKind::kCacheLookup, hit != nullptr ? 2 : 0,
+                       lookup_t0);
+        }
+        if (hit != nullptr) {
           d.fold = *hit;
           d.resolved = true;
         }
-        kit->second = fresh_idx;
+        slot.stamp = sc.stamp;
+        slot.idx = fresh_idx;
+        break;
       }
-      idx = static_cast<int32_t>(kit->second);
+      const BatchDistinct& d = sc.distincts[slot.idx];
+      if (d.hash == tl_key.hash && d.overrides == overrides &&
+          SameContent(d.query->interface, d.query->args, query, sc.va,
+                      sc.vb)) {
+        break;
+      }
     }
-
-    const BatchDistinct& d = sc.distincts[static_cast<size_t>(idx)];
+    const uint32_t idx = sc.table[pos].idx;
+    const BatchDistinct& d = sc.distincts[idx];
     if (d.resolved) {
-      // In place: QueryOutcome is large enough that the construct-then-move
-      // idiom dominates the hit path.
-      QueryOutcome& outcome = *results[i];
-      outcome.kind = query.kind;
-      outcome.joules = d.fold->mean;
-      if (query.kind == QueryKind::kDistribution) {
-        outcome.distribution = d.fold->distribution;
-      }
+      SetFold(*results[i], query.kind, *d.fold);
     } else {
-      sc.item_distinct[i] = idx;
+      sc.item_distinct[i] = static_cast<int32_t>(idx);
       any_miss = true;
     }
+  }
+  if (tl_hits > 0) {
+    SvcCounters::Get().cache_hits.Increment(tl_hits);
+    SvcCounters::Get().tl_fold_hits.Increment(tl_hits);
+  }
+  if (tl_misses > 0) {
+    SvcCounters::Get().tl_fold_misses.Increment(tl_misses);
   }
 
   if (!any_miss) {
     return results;
   }
 
-  // Pass 2: distinct cache misses, grouped by (interface, effective
+  // Pass 2: distinct shard misses, grouped by (interface, effective
   // profile) — pointer identity suffices, every override was interned
-  // above — each group one SoA pass. The batch engine's answers (vector or
+  // above — each group one SoA pass. Groups and their lanes run in first-
+  // appearance order: that is the order of StoreFold calls, which decides
+  // what the caches keep, so it must depend on the batch alone and never on
+  // heap addresses. (A linear group search: each group also builds a
+  // BatchPlan, which costs far more.) The batch engine's answers (vector or
   // per-lane scalar fallback) are bit-identical to FoldCached's
   // enumerate+fold, so duplicates, cache hits, and single dispatch all
   // agree bit-for-bit. Errors are never cached, exactly like FoldCached.
-  std::map<std::pair<std::string_view, const EcvProfile*>,
-           std::vector<BatchDistinct*>>
-      groups;
+  struct MissGroup {
+    const std::string* interface;
+    const EcvProfile* profile;
+    std::vector<BatchDistinct*> lanes;
+  };
+  std::vector<MissGroup> groups;
   for (size_t di = 0; di < sc.live; ++di) {
     BatchDistinct& d = sc.distincts[di];
-    if (!d.resolved) {
-      groups[{std::string_view(d.query->interface), d.profile}].push_back(&d);
+    if (d.resolved) {
+      continue;
     }
+    auto group = std::find_if(groups.begin(), groups.end(),
+                              [&d](const MissGroup& g) {
+                                return g.profile == d.profile &&
+                                       *g.interface == d.query->interface;
+                              });
+    if (group == groups.end()) {
+      group = groups.insert(groups.end(),
+                            MissGroup{&d.query->interface, d.profile, {}});
+    }
+    group->lanes.push_back(&d);
   }
-  for (auto& [group_key, lanes] : groups) {
-    BatchPlan plan(snapshot.bundle().evaluator, std::string(group_key.first));
+  for (const MissGroup& group : groups) {
+    BatchPlan plan(snapshot.bundle().evaluator, *group.interface);
     std::vector<const std::vector<Value>*> lane_args;
-    lane_args.reserve(lanes.size());
-    for (const BatchDistinct* d : lanes) {
+    lane_args.reserve(group.lanes.size());
+    for (const BatchDistinct* d : group.lanes) {
       lane_args.push_back(&d->query->args);
     }
     std::vector<Result<BatchLaneFold>> folds =
-        plan.EnumerateFold(lane_args, *group_key.second, options_.calibration);
-    for (size_t l = 0; l < lanes.size(); ++l) {
-      BatchDistinct* d = lanes[l];
+        plan.EnumerateFold(lane_args, *group.profile, options_.calibration);
+    for (size_t l = 0; l < group.lanes.size(); ++l) {
+      BatchDistinct* d = group.lanes[l];
       d->resolved = true;
       if (!folds[l].ok()) {
         d->error = folds[l].status();
         continue;
       }
-      auto entry = std::make_shared<const ExactFold>(
+      d->fold = std::make_shared<const ExactFold>(
           ExactFold{std::move(folds[l]->distribution), folds[l]->mean});
-      d->fold = entry;
-      StoreFold(d->key, std::move(entry));
-      if (d->memo_slot != nullptr) {
-        FillMemo(*d->memo_slot, d->memo_hash, svc_id_, snapshot.unique_id(),
-                 *d->query, d->fold);
-      }
+      StoreFold(d->key,
+                FoldKey{svc_id_, snap_id, *d->query,
+                        FingerprintOf(d->overrides), d->hash},
+                d->fold);
     }
   }
 
@@ -1543,15 +1585,10 @@ std::vector<Result<QueryOutcome>> QueryService::EvaluateBatch(
       continue;  // answered in pass 1
     }
     const BatchDistinct& d = sc.distincts[static_cast<size_t>(idx)];
-    if (!d.error.ok()) {
+    if (d.error.ok()) {
+      SetFold(*results[i], batch[i].kind, *d.fold);
+    } else {
       results[i] = d.error;
-      continue;
-    }
-    QueryOutcome& outcome = *results[i];
-    outcome.kind = batch[i].kind;
-    outcome.joules = d.fold->mean;
-    if (batch[i].kind == QueryKind::kDistribution) {
-      outcome.distribution = d.fold->distribution;
     }
   }
   return results;

@@ -21,9 +21,11 @@
 //     fingerprints, effective-profile fingerprint); concurrent queries on
 //     different keys take different shard locks, and a hit answers an
 //     Expected or Distribution query with no re-fold. Errors are never
-//     cached. In front of the shards each thread keeps a 512-entry
-//     set-associative cache of the folds it last used, so a repeated query
-//     takes no lock and writes no memory another thread shares.
+//     cached. In front of the shards each thread keeps one 512-entry
+//     set-associative cache of the folds it last used, keyed on query
+//     content and the snapshot's id, so a repeated query — single or
+//     batched — builds no key, takes no lock and writes no memory another
+//     thread shares.
 //
 //   * Snapshot-time bytecode specialization. Each publication specializes
 //     the bundle's bytecode program against the snapshot's base profile
@@ -173,8 +175,9 @@ class QueryService {
   Result<QueryOutcome> Dispatch(const Query& query) const;
 
   // Evaluates a batch against ONE snapshot, amortising the snapshot
-  // acquisition and deduplicating enumeration work: exact queries sharing
-  // (interface, args, profile) are fingerprinted once and enumerated once.
+  // acquisition and deduplicating enumeration work: every exact query
+  // probes the thread-local fold cache, and misses sharing (interface,
+  // args, profile) are keyed once and enumerated once.
   // Results are positionally aligned with `batch` and bit-identical to
   // dispatching each query alone.
   std::vector<Result<QueryOutcome>> EvaluateBatch(
@@ -226,38 +229,35 @@ class QueryService {
 
   // The calling thread's cached snapshot slot (revalidated against
   // publish_seq_). The returned reference is pinned by the thread-local
-  // shared_ptr until this thread's next acquisition on any service.
+  // shared_ptr until this thread's next acquisition on any service, or until
+  // this service is destroyed (which releases the destroying thread's slot).
   const std::shared_ptr<const Snapshot>& SnapshotSlot() const;
   // Borrowed snapshot for the synchronous query paths: no refcount traffic.
   // Valid until the calling thread's next acquisition — callers consume it
   // within the query and never stash it.
   const Snapshot& AcquireSnapshotRef() const { return *SnapshotSlot(); }
 
-  // Cache-or-(enumerate+fold) against `snapshot`; `key_hint` (may be null)
-  // carries a precomputed cache key from the batch path. The returned
-  // pointer is pinned by the calling thread's set-associative fold cache
-  // (a hit copies no shared_ptr) and stays valid until that thread's next
-  // LookupFold / StoreFold; callers consume it immediately.
+  // The calling thread's set-associative fold cache and its content key
+  // (query_service.cc).
+  struct FoldKey;
+  class TlFoldCache;
+
+  // Cache-or-(enumerate+fold) against `snapshot`. The returned pointer is
+  // pinned by the calling thread's fold cache (a hit copies no shared_ptr)
+  // and stays valid until that thread's next fold-cache fill; callers
+  // consume it immediately.
   Result<const ExactFold*> FoldCached(const Snapshot& snapshot,
-                                      const Query& query,
-                                      const std::string* key_hint) const;
-  // Fold-cache primitives shared by FoldCached and the batch path. Both go
-  // through the same thread-local cache and count exactly one cache hit or
-  // miss per LookupFold call. LookupFold returns the thread-local entry
-  // holding the fold (null on a miss), valid under the same rule as
-  // FoldCached's pointer; callers that keep the fold copy the shared_ptr.
-  // StoreFold publishes a freshly folded entry (shard insert + thread-local
-  // fill, counting evictions).
-  const SharedFold* LookupFold(const std::string& key) const;
-  void StoreFold(const std::string& key, SharedFold entry) const;
-  std::string CacheKey(const Snapshot& snapshot, const Query& query) const;
-  void AppendCacheKey(const Snapshot& snapshot, const Query& query,
-                      std::string& out) const;
-  // The cache key minus the trailing effective-profile fingerprint. The
-  // batch path appends a fingerprint hoisted once per distinct override
-  // instead of re-merging and re-fingerprinting per item.
-  void AppendCacheKeyPrefix(const Snapshot& snapshot, const Query& query,
-                            std::string& out) const;
+                                      const Query& query) const;
+  // Shard-cache primitives shared by FoldCached and the batch path, both of
+  // which probe the thread-local cache first. LookupShard counts one cache
+  // hit or miss and, on a hit, fills the thread-local cache under `tl_key`
+  // and returns its entry's fold (valid under FoldCached's rule; callers
+  // that keep the fold copy the shared_ptr). StoreFold publishes a freshly
+  // folded entry (shard insert + thread-local fill, counting evictions).
+  const SharedFold* LookupShard(const std::string& key,
+                                const FoldKey& tl_key) const;
+  void StoreFold(const std::string& key, const FoldKey& tl_key,
+                 SharedFold entry) const;
   // The query's dist_mode, falling back to the service-wide default.
   DistMode EffectiveMode(const Query& query) const;
   // Certified evaluation against `snapshot` under an analytic mode, through
@@ -275,6 +275,9 @@ class QueryService {
   // process-wide counter and never reused, so a service constructed at a
   // freed service's address cannot alias its stale thread-local state.
   const uint64_t svc_id_;
+  // cache_capacity > 0, read once: the shard cache's capacity() sums its
+  // shards, too slow for every lookup.
+  const bool cache_enabled_;
   // Published snapshot, guarded by snapshot_mu_. A plain mutex instead of
   // std::atomic<std::shared_ptr>: libstdc++'s lock-based _Sp_atomic unlocks
   // the reader side with memory_order_relaxed, so a reader's pointer read

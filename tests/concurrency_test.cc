@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -930,6 +931,18 @@ TEST(QueryServiceConcurrencyTest, HotSetFromFourThreadsBitIdenticalToReplay) {
           << "thread " << t << " query " << i;
     }
   }
+}
+
+TEST(QueryServiceSnapshotTest, DestroyingServiceReleasesThisThreadsSnapshot) {
+  // The thread-local snapshot slot must not keep a destroyed service's
+  // snapshot (and its program, evaluator and profile) alive.
+  auto service = MustCreate(kFig1Source);
+  ASSERT_TRUE(service->Dispatch(HotKeyAt(0)).ok());
+  std::weak_ptr<const QueryService::Snapshot> snapshot =
+      service->AcquireSnapshot();
+  ASSERT_FALSE(snapshot.expired());
+  service.reset();
+  EXPECT_TRUE(snapshot.expired());
 }
 
 TEST(QueryServiceSnapshotTest, ZeroCapacityCacheStillAnswersCorrectly) {
