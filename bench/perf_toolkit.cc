@@ -262,6 +262,57 @@ void BM_AnalyticBoundedDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyticBoundedDepth)->Arg(4)->Arg(8)->Arg(12);
 
+// A layered stack in the shape of the paper's Fig. 2, which the analytic
+// exact engine rejects (a loop and two callees per body): each interface
+// draws one bernoulli, runs a 2-4 step loop, and calls one of two
+// interfaces of the layer below, so the layer-5 entry enumerates 2^6 paths
+// through 6 nested calls.
+std::string NestedCallsSource() {
+  constexpr int kLayers = 6;
+  constexpr int kWidth = 3;
+  const auto name = [](int layer, int index) {
+    return "S" + std::to_string(layer) + "_" + std::to_string(index);
+  };
+  std::string source;
+  for (int layer = 0; layer < kLayers; ++layer) {
+    for (int i = 0; i < kWidth; ++i) {
+      source += "interface " + name(layer, i) + "(n) {\n";
+      source += "  ecv hit ~ bernoulli(0." +
+                std::to_string(2 + (layer + i) % 7) + ");\n";
+      source += "  let mut acc = 0J;\n";
+      source += "  for k in 0.." + std::to_string(2 + (layer + 2 * i) % 3) +
+                " {\n    acc = acc + (n + k) * 1.5nJ;\n  }\n";
+      if (layer == 0) {
+        source += "  if (hit) {\n    return acc + 20nJ;\n  }\n";
+        source += "  return acc + n * 0.3nJ;\n";
+      } else {
+        source += "  if (hit) {\n    return acc + " + name(layer - 1, i) +
+                  "(n);\n  }\n";
+        source += "  return acc + 1.5 * " +
+                  name(layer - 1, (i + 1) % kWidth) + "(n + 1);\n";
+      }
+      source += "}\n";
+    }
+  }
+  return source;
+}
+
+// Uncached bytecode enumeration and fold of the stack above: the work a
+// cold QueryService miss does in the evaluator. With the enumeration cache
+// off, every iteration walks the whole choice tree.
+void BM_EnumerateNestedCalls(benchmark::State& state) {
+  auto program = ParseProgram(NestedCallsSource());
+  EvalOptions options;
+  options.enum_cache_capacity = 0;
+  Evaluator evaluator(*program, options);
+  const std::vector<Value> args = {Value::Number(64.0)};
+  for (auto _ : state) {
+    auto energy = evaluator.ExpectedEnergy("S5_0", args, {});
+    benchmark::DoNotOptimize(energy.ok());
+  }
+}
+BENCHMARK(BM_EnumerateNestedCalls);
+
 // --- Concurrent query service ------------------------------------------------
 
 // One shared service instance for the threaded benchmark; google-benchmark

@@ -758,7 +758,7 @@ Result<BatchLaneFold> BatchPlan::ScalarLaneFold(
   // share bits (and error codes) with single dispatch.
   ECLARITY_ASSIGN_OR_RETURN(
       Evaluator::SharedOutcomes outcomes,
-      evaluator_->EnumerateShared(interface_name_, args, profile));
+      evaluator_->EnumerateForFold(interface_name_, args, profile));
   std::vector<Atom> atoms;
   atoms.reserve(outcomes->size());
   for (const WeightedOutcome& o : *outcomes) {
@@ -804,7 +804,7 @@ std::vector<Result<BatchLaneFold>> BatchPlan::EnumerateFold(
         if (!BuildArgColumns(tile, arg_columns)) {
           return false;
         }
-        EnumeratingChooser chooser;
+        EnumeratingChooser chooser(/*record_assignments=*/false);
         ExactDrawer drawer(chooser);
         VectorExec exec(*evaluator_->lowered_, options, profile, drawer);
         std::vector<std::vector<Atom>> atoms(width);

@@ -1,5 +1,6 @@
 #include "src/eval/bytecode.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -560,6 +561,7 @@ void BytecodeInterpreter::Reset() {
   depth_ = 0;
   frames_.clear();
   cat_stack_.clear();
+  live_snapshots_ = 0;
 }
 
 void BytecodeInterpreter::EnsureRegs(size_t needed) {
@@ -604,11 +606,86 @@ Result<Value> BytecodeInterpreter::CallByName(const std::string& name,
   return Run();
 }
 
+// Saves everything a resumed path reads: the live registers of every frame,
+// the frame stack, the support the draw resolved (copied when it lives in
+// dyn_support_, which later draws overwrite), any open categorical levels
+// (a draw can sit inside a categorical parameter's call), and the per-path
+// budgets, so steps and call depth count exactly as in a replay.
+void BytecodeInterpreter::SaveForkSnapshot(uint32_t draw_pc) {
+  const size_t k = fork_->cursor();
+  if (k != live_snapshots_) {
+    return;  // an earlier choice on this path was over budget
+  }
+  const bool dyn = cur_support_ == &dyn_support_;
+  size_t cost = reg_top_ + (dyn ? dyn_support_.outcomes.size() : 0);
+  for (const auto& level : cat_stack_) {
+    cost += level.size();
+  }
+  const size_t saved = cost + (k > 0 ? snapshots_[k - 1].saved_values : 0);
+  if (k > 0 && saved > kForkBudgetValues) {
+    return;
+  }
+  if (k == snapshots_.size()) {
+    snapshots_.emplace_back();
+  }
+  ForkSnapshot& snap = snapshots_[k];
+  snap.regs.assign(regs_.begin(), regs_.begin() + reg_top_);
+  snap.frames = frames_;
+  snap.cat_stack = cat_stack_;
+  if (dyn) {
+    snap.dyn_support = dyn_support_;
+  }
+  snap.support = dyn ? nullptr : cur_support_;
+  snap.base = base_;
+  snap.reg_top = reg_top_;
+  snap.cur_iface = cur_iface_;
+  snap.pc = draw_pc;
+  snap.steps = steps_;
+  snap.depth = depth_;
+  snap.overridden = overridden_;
+  snap.probability = fork_->probability();
+  snap.saved_values = saved;
+  live_snapshots_ = k + 1;
+}
+
+Result<Value> BytecodeInterpreter::Resume() {
+  // Advance() moved the deepest choice with outcomes left; every snapshot
+  // below it still describes this path's (unchanged) prefix. Without one at
+  // that choice (budget), resume from the deepest and replay the rest.
+  if (fork_ == nullptr || live_snapshots_ == 0 || fork_->depth() == 0) {
+    return InternalError("Resume() without a forked path to resume");
+  }
+  const size_t k = std::min(fork_->depth() - 1, live_snapshots_ - 1);
+  live_snapshots_ = k + 1;
+  const ForkSnapshot& snap = snapshots_[k];
+  std::copy(snap.regs.begin(), snap.regs.end(), regs_.begin());
+  frames_ = snap.frames;
+  cat_stack_ = snap.cat_stack;
+  if (snap.support == nullptr) {
+    dyn_support_ = snap.dyn_support;
+    cur_support_ = &dyn_support_;
+  } else {
+    cur_support_ = snap.support;
+  }
+  base_ = snap.base;
+  reg_top_ = snap.reg_top;
+  cur_iface_ = snap.cur_iface;
+  pc_ = snap.pc;
+  steps_ = snap.steps;
+  depth_ = snap.depth;
+  overridden_ = snap.overridden;
+  fork_->RewindTo(k, snap.probability);
+  return Run();
+}
+
 // Draw for the current ECV site: choose from the support every preceding
 // instruction just resolved, trace, surface a rejected binding, store the
 // outcome. Returns the drawn outcome (kEcvDrawBranch reads it back).
 Result<const Value*> BytecodeInterpreter::DrawEcv(
     const BytecodeProgram::EcvSite& site) {
+  if (fork_ != nullptr && fork_->cursor() == fork_->depth()) {
+    SaveForkSnapshot(pc_ - 1);  // a new choice point; pc_ is past the draw
+  }
   ECLARITY_ASSIGN_OR_RETURN(
       size_t idx, chooser_.Choose(site.ecv->qualified, *cur_support_));
   if (idx >= cur_support_->outcomes.size()) {

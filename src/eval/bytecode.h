@@ -6,7 +6,9 @@
 // LoweredInterface* chasing), pre-rendered error statuses, and
 // superinstructions for the hot term shapes (fused sum-of-terms accumulate,
 // guarded ECV-branch select). A dispatch-loop interpreter then executes the
-// buffer over one contiguous, reusable register stack.
+// buffer over one contiguous, reusable register stack. Untraced
+// enumeration forks at choice points instead of replaying every path from
+// the entry (BytecodeInterpreter::EnableForking).
 //
 // The compiler can additionally *specialize* a program against a fixed
 // EcvProfile: every ECV site whose resolution is decided by the profile
@@ -179,6 +181,7 @@ class BytecodeInterpreter {
   ~BytecodeInterpreter();
 
   // Reuses this interpreter (and its register storage) for another run.
+  // Drops the fork snapshots (their storage is kept).
   void Reset();
 
   // Labels trace events with the enumeration path being executed.
@@ -187,6 +190,29 @@ class BytecodeInterpreter {
   Result<Value> CallByName(const std::string& name,
                            const std::vector<Value>& args);
 
+  // Fork-at-choice enumeration (untraced runs only; see DESIGN.md,
+  // "Bytecode VM"). `chooser` must be the chooser this interpreter draws
+  // through. From then on, each draw at a new choice point first snapshots
+  // the VM state, and the enumeration runs as:
+  //
+  //   Reset(); CallByName(...);            // path 0
+  //   while (chooser.Advance()) Resume();  // every later path
+  //
+  // Resume() restores the snapshot of the choice Advance() moved and
+  // re-runs its draw, so a path costs the instructions after its last
+  // shared choice instead of the whole program.
+  void EnableForking(eval_internal::EnumeratingChooser& chooser) {
+    fork_ = &chooser;
+  }
+  Result<Value> Resume();
+
+  // Snapshots cover a prefix of the current path's choice points; a new one
+  // is taken only while the registers, dynamic support and categorical
+  // entries saved by all of them stay within this many values (about 4 MB).
+  // The first is always taken. Past the bound, Resume() restores the
+  // deepest snapshot and replays the recorded choices from there.
+  static constexpr size_t kForkBudgetValues = size_t{1} << 16;
+
  private:
   struct CallFrame {
     uint32_t ret_pc = 0;
@@ -194,6 +220,27 @@ class BytecodeInterpreter {
     uint32_t caller_base = 0;
     uint32_t caller_iface = 0;
   };
+
+  // The VM state just before a draw first reached choice point k: resuming
+  // from it re-executes that draw with the chooser's advanced index.
+  struct ForkSnapshot {
+    std::vector<Value> regs;  // [0, reg_top)
+    std::vector<CallFrame> frames;
+    std::vector<std::vector<std::pair<Value, double>>> cat_stack;
+    EcvSupport dyn_support;  // meaningful when support == nullptr
+    const EcvSupport* support = nullptr;  // nullptr: the draw's support was
+                                          // dyn_support_
+    uint32_t base = 0;
+    uint32_t reg_top = 0;
+    uint32_t cur_iface = 0;
+    uint32_t pc = 0;  // the draw instruction
+    size_t steps = 0;
+    int depth = 0;
+    bool overridden = false;
+    double probability = 1.0;  // chooser prefix probability before choice k
+    size_t saved_values = 0;   // budget use of snapshots [0, k]
+  };
+  void SaveForkSnapshot(uint32_t draw_pc);
 
   // The dispatch loop is compiled twice: the kProfiled=false instantiation
   // is the production loop and carries no profiling instructions; the
@@ -240,6 +287,13 @@ class BytecodeInterpreter {
   size_t steps_ = 0;
   int depth_ = 0;
   size_t path_index_ = 0;
+
+  // Fork-at-choice state. snapshots_[0, live_snapshots_) belong to the
+  // current path's choice points [0, live_snapshots_); entries past that
+  // are dead but keep their storage for reuse by later paths.
+  eval_internal::EnumeratingChooser* fork_ = nullptr;
+  std::vector<ForkSnapshot> snapshots_;
+  size_t live_snapshots_ = 0;
 };
 
 }  // namespace eclarity

@@ -179,41 +179,56 @@ class SamplingChooser : public Chooser {
   Rng& rng_;
 };
 
-// Drives repeated executions through every combination of choices.
-// Execution i follows the recorded prefix and extends with first choices;
-// Advance() then increments the deepest counter (dropping exhausted ones)
-// like an odometer over a tree with heterogeneous arity.
+// Drives a depth-first walk over every combination of choices, like an
+// odometer over a tree with heterogeneous arity. path_ records the current
+// path's choice points; Advance() increments the deepest counter that is not
+// exhausted (dropping the exhausted ones below it). Each following execution
+// replays the recorded prefix — the advanced choice included — and extends
+// it with first choices.
+//
+// An execution resumes either from the root (Advance() leaves the cursor
+// there: every engine can replay) or, in the bytecode VM's fork-at-choice
+// enumeration, from a snapshot taken just before choice k was first drawn:
+// RewindTo(k, p) puts the cursor on choice k with the prefix probability p
+// the snapshot saved. Either way the path multiplies the same probabilities
+// in the same order, so its probability bits do not depend on where it
+// resumed.
 class EnumeratingChooser : public Chooser {
  public:
+  // Fold-only callers read just (value, probability) and pass false to skip
+  // copying each draw's qualified name and value.
+  explicit EnumeratingChooser(bool record_assignments = true)
+      : record_assignments_(record_assignments) {}
+
   Result<size_t> Choose(const std::string& qualified_name,
                         const EcvSupport& support) override {
-    if (cursor_ < path_.size()) {
-      // Replaying the recorded prefix.
-      ChoicePoint& cp = path_[cursor_];
-      if (cp.arity != support.outcomes.size()) {
-        return InternalError("non-deterministic choice structure for ECV '" +
-                             qualified_name + "'");
-      }
-      probability_ *= support.outcomes[cp.index].second;
-      assignments_.emplace_back(qualified_name,
-                                support.outcomes[cp.index].first);
-      return path_[cursor_++].index;
+    if (cursor_ == path_.size()) {
+      // New choice point: take the first outcome.
+      path_.push_back(ChoicePoint{0, support.outcomes.size()});
+    } else if (path_[cursor_].arity != support.outcomes.size()) {
+      return InternalError("non-deterministic choice structure for ECV '" +
+                           qualified_name + "'");
     }
-    // New choice point: take the first outcome and record it.
-    path_.push_back(ChoicePoint{0, support.outcomes.size()});
+    const size_t index = path_[cursor_].index;
+    probability_ *= support.outcomes[index].second;
+    if (record_assignments_) {
+      // Positional: entry i is choice i, so a resumed path keeps its
+      // prefix and a replayed one overwrites the previous path's tail.
+      assignments_.resize(cursor_);
+      assignments_.emplace_back(qualified_name, support.outcomes[index].first);
+    }
     ++cursor_;
-    probability_ *= support.outcomes[0].second;
-    assignments_.emplace_back(qualified_name, support.outcomes[0].first);
-    return size_t{0};
+    return index;
   }
 
-  // Prepares the next execution. Returns false when the tree is exhausted.
+  // Prepares the next execution from the root. Returns false when the tree
+  // is exhausted (the chooser is then ready for a fresh walk).
   bool Advance() {
+    Reset();
     while (!path_.empty()) {
       ChoicePoint& last = path_.back();
       if (last.index + 1 < last.arity) {
         ++last.index;
-        Reset();
         return true;
       }
       path_.pop_back();
@@ -224,13 +239,23 @@ class EnumeratingChooser : public Chooser {
   void Reset() {
     cursor_ = 0;
     probability_ = 1.0;
-    assignments_.clear();
+  }
+
+  // Positions the next execution on choice k (k < depth()), whose prefix
+  // probability — the product over choices [0, k) — is `prefix`.
+  void RewindTo(size_t k, double prefix) {
+    cursor_ = k;
+    probability_ = prefix;
   }
 
   double probability() const { return probability_; }
+  // The current path's draws in order (qualified name, drawn value); empty
+  // when not recording. Complete once the execution has returned.
   const std::vector<std::pair<std::string, Value>>& assignments() const {
     return assignments_;
   }
+  // Number of choices the current execution has drawn so far.
+  size_t cursor() const { return cursor_; }
   size_t depth() const { return path_.size(); }
 
  private:
@@ -238,6 +263,7 @@ class EnumeratingChooser : public Chooser {
     size_t index;
     size_t arity;
   };
+  const bool record_assignments_;
   std::vector<ChoicePoint> path_;
   size_t cursor_ = 0;
   double probability_ = 1.0;

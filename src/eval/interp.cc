@@ -457,12 +457,18 @@ std::shared_ptr<const BytecodeProgram> Evaluator::PickBytecode(
   if (!has_spec_.load(std::memory_order_acquire)) {
     return bytecode_;  // possibly null (non-bytecode engine or fallback)
   }
-  std::lock_guard<std::mutex> lock(spec_mu_);
-  if (spec_profile_ == &profile ||
-      spec_fingerprint_ == profile.Fingerprint()) {
-    return spec_bytecode_;
+  {
+    std::lock_guard<std::mutex> lock(spec_mu_);
+    if (spec_profile_ == &profile) {
+      return spec_bytecode_;
+    }
   }
-  return bytecode_;
+  // A per-query override merges into a profile at a fresh address. Its
+  // fingerprint walks every override, so it is built outside the lock that
+  // every concurrent evaluation takes.
+  const std::string fingerprint = profile.Fingerprint();
+  std::lock_guard<std::mutex> lock(spec_mu_);
+  return spec_fingerprint_ == fingerprint ? spec_bytecode_ : bytecode_;
 }
 
 Evaluator::~Evaluator() = default;
@@ -483,14 +489,20 @@ Result<Value> Evaluator::EvalSampled(const std::string& interface_name,
 
 Result<std::vector<WeightedOutcome>> Evaluator::EnumerateUncached(
     const std::string& interface_name, const std::vector<Value>& args,
-    const EcvProfile& profile) const {
-  EnumeratingChooser chooser;
+    const EcvProfile& profile, bool record_assignments) const {
+  EnumeratingChooser chooser(record_assignments);
   std::vector<WeightedOutcome> outcomes;
   TraceSink* const trace = options_.trace;
   const std::shared_ptr<const BytecodeProgram> bc = PickBytecode(profile);
   std::optional<BytecodeInterpreter> vm;
+  // Trace streams are defined per path as a run from the entry, so a traced
+  // enumeration replays every path; an untraced one forks at choice points.
+  const bool fork = bc != nullptr && trace == nullptr;
   if (bc != nullptr) {
     vm.emplace(*bc, options_, profile, chooser);
+    if (fork) {
+      vm->EnableForking(chooser);
+    }
   }
   for (;;) {
     if (outcomes.size() >= options_.max_paths) {
@@ -506,7 +518,9 @@ Result<std::vector<WeightedOutcome>> Evaluator::EnumerateUncached(
       trace->OnEvent(start);
     }
     Value value;
-    if (vm.has_value()) {
+    if (fork && path_index > 0) {
+      ECLARITY_ASSIGN_OR_RETURN(value, vm->Resume());
+    } else if (vm.has_value()) {
       vm->Reset();
       vm->set_path_index(path_index);
       ECLARITY_ASSIGN_OR_RETURN(value, vm->CallByName(interface_name, args));
@@ -538,6 +552,20 @@ Result<std::vector<WeightedOutcome>> Evaluator::EnumerateUncached(
 Result<Evaluator::SharedOutcomes> Evaluator::EnumerateShared(
     const std::string& interface_name, const std::vector<Value>& args,
     const EcvProfile& profile) const {
+  return EnumerateSharedImpl(interface_name, args, profile,
+                             /*record_assignments=*/true);
+}
+
+Result<Evaluator::SharedOutcomes> Evaluator::EnumerateForFold(
+    const std::string& interface_name, const std::vector<Value>& args,
+    const EcvProfile& profile) const {
+  return EnumerateSharedImpl(interface_name, args, profile,
+                             /*record_assignments=*/false);
+}
+
+Result<Evaluator::SharedOutcomes> Evaluator::EnumerateSharedImpl(
+    const std::string& interface_name, const std::vector<Value>& args,
+    const EcvProfile& profile, bool record_assignments) const {
   // Cached replays would emit no events, so tracing bypasses the cache.
   const bool tracing = options_.trace != nullptr;
   const bool use_cache = options_.enum_cache_capacity > 0 && !tracing;
@@ -561,11 +589,14 @@ Result<Evaluator::SharedOutcomes> Evaluator::EnumerateShared(
     }
     EvalCounters::Get().enum_cache_misses.Increment();
   }
-  ECLARITY_ASSIGN_OR_RETURN(std::vector<WeightedOutcome> outcomes,
-                            EnumerateUncached(interface_name, args, profile));
+  ECLARITY_ASSIGN_OR_RETURN(
+      std::vector<WeightedOutcome> outcomes,
+      EnumerateUncached(interface_name, args, profile, record_assignments));
   auto shared = std::make_shared<const std::vector<WeightedOutcome>>(
       std::move(outcomes));
-  if (use_cache) {
+  // An entry without assignments would answer a later Enumerate() hit
+  // wrongly, so only full enumerations are stored.
+  if (use_cache && record_assignments) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (enum_cache_.Put(std::move(key), shared)) {
       EvalCounters::Get().enum_cache_evictions.Increment();
@@ -614,7 +645,7 @@ Result<CertifiedDistribution> Evaluator::EnumerateToCertified(
     const std::string& interface_name, const std::vector<Value>& args,
     const EcvProfile& profile, const EnergyCalibration* calibration) const {
   ECLARITY_ASSIGN_OR_RETURN(SharedOutcomes outcomes,
-                            EnumerateShared(interface_name, args, profile));
+                            EnumerateForFold(interface_name, args, profile));
   std::vector<Atom> atoms;
   atoms.reserve(outcomes->size());
   for (const WeightedOutcome& o : *outcomes) {
@@ -814,7 +845,7 @@ Result<const Evaluator::FoldEntry*> Evaluator::FoldShared(
     }
   }
   ECLARITY_ASSIGN_OR_RETURN(SharedOutcomes outcomes,
-                            EnumerateShared(interface_name, args, profile));
+                            EnumerateForFold(interface_name, args, profile));
   std::vector<Atom> atoms;
   atoms.reserve(outcomes->size());
   for (const WeightedOutcome& o : *outcomes) {

@@ -104,7 +104,8 @@ struct EvalOptions {
   // terms, enumeration path markers — to the sink, bit-for-bit identically.
   // Tracing bypasses the enumeration cache (cached replays would emit no
   // events) and, on the bytecode engine, switches lowering to
-  // preserve-energy-terms mode. The sink must outlive the evaluator.
+  // preserve-energy-terms mode and enumeration from fork-at-choice to
+  // replay from the entry (see Enumerate()). The sink must outlive the evaluator.
   // nullptr (default) keeps evaluation at full speed: the engines only test
   // this pointer.
   TraceSink* trace = nullptr;
@@ -165,6 +166,18 @@ class Evaluator {
   // choice points; handles ECVs inside loops and nested calls). Outcome
   // probabilities sum to 1. Fails with kResourceExhausted if more than
   // options.max_paths assignments exist.
+  //
+  // The bytecode engine forks at choice points: each new choice point
+  // snapshots the VM, and the next path resumes from the snapshot of the
+  // choice it changes instead of re-running the program from the entry, so
+  // the walk costs time in proportion to the choice tree rather than to
+  // paths x depth. Each path still executes the same instructions in the
+  // same order with the same per-path step and call-depth budgets, so
+  // values, probability bits, assignments and errors are those of the tree
+  // walk. Snapshots are bounded (BytecodeInterpreter::kForkBudgetValues);
+  // past the bound a path replays from the deepest one. Traced
+  // enumerations replay every path from the entry, because trace streams
+  // are defined per path.
   Result<std::vector<WeightedOutcome>> Enumerate(
       const std::string& interface_name, const std::vector<Value>& args,
       const EcvProfile& profile) const;
@@ -176,6 +189,15 @@ class Evaluator {
   Result<SharedOutcomes> EnumerateShared(const std::string& interface_name,
                                          const std::vector<Value>& args,
                                          const EcvProfile& profile) const;
+
+  // As EnumerateShared(), for callers that only fold (value, probability):
+  // outcomes computed here carry no ecv_assignments, which saves a copy of
+  // every draw's name and value per path. They are never stored in the
+  // enumeration cache, so a later Enumerate() still returns assignments.
+  // A cache hit is served as is (assignments included).
+  Result<SharedOutcomes> EnumerateForFold(const std::string& interface_name,
+                                          const std::vector<Value>& args,
+                                          const EcvProfile& profile) const;
 
   // Enumerate() folded to a Distribution over Joules. Abstract energy
   // returns are resolved through `calibration` (pass nullptr to require
@@ -258,9 +280,12 @@ class Evaluator {
   // shares options_; it is an alternative execution frontend, not a client.
   friend class BatchPlan;
 
+  Result<SharedOutcomes> EnumerateSharedImpl(
+      const std::string& interface_name, const std::vector<Value>& args,
+      const EcvProfile& profile, bool record_assignments) const;
   Result<std::vector<WeightedOutcome>> EnumerateUncached(
       const std::string& interface_name, const std::vector<Value>& args,
-      const EcvProfile& profile) const;
+      const EcvProfile& profile, bool record_assignments) const;
 
   // Bytecode program serving `profile`: the specialized program when its
   // baked profile matches (by address, then by fingerprint), the generic

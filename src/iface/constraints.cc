@@ -11,11 +11,11 @@ Result<double> MaxOverDraws(const Program& program, const std::string& entry,
                             const std::vector<Value>& args,
                             const EnergyCalibration* calibration) {
   Evaluator evaluator(program);
-  ECLARITY_ASSIGN_OR_RETURN(std::vector<WeightedOutcome> outcomes,
-                            evaluator.Enumerate(entry, args, {}));
+  ECLARITY_ASSIGN_OR_RETURN(Evaluator::SharedOutcomes outcomes,
+                            evaluator.EnumerateForFold(entry, args, {}));
   double worst = 0.0;
   bool first = true;
-  for (const WeightedOutcome& o : outcomes) {
+  for (const WeightedOutcome& o : *outcomes) {
     ECLARITY_ASSIGN_OR_RETURN(double joules,
                               OutcomeJoules(o.value, calibration));
     if (first || joules > worst) {

@@ -1088,8 +1088,9 @@ Result<const QueryService::ExactFold*> QueryService::FoldCached(
     return hit->get();
   }
   const uint64_t eval_t0 = sampled ? ObsNowNs() : 0;
-  Result<SharedOutcomes> outcomes = snapshot.bundle().evaluator.EnumerateShared(
-      query.interface, query.args, profile);
+  Result<SharedOutcomes> outcomes =
+      snapshot.bundle().evaluator.EnumerateForFold(query.interface,
+                                                   query.args, profile);
   if (!outcomes.ok()) {
     return outcomes.status();  // errors are never cached
   }

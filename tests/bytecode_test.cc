@@ -1,8 +1,10 @@
 // Edge tests for the register bytecode VM (src/eval/bytecode.h) that the
 // engine-parity harnesses cannot see from the outside: constant-pool
 // deduplication, superinstruction fusion parity, register-frame reuse
-// across nested calls, profile-swap respecialization rekeying the
-// query-service cache, and the tree-walk fallback on register overflow. Broad value/trace/error parity with the tree walk
+// across nested calls, fork-at-choice enumeration against replay from the
+// entry, profile-swap respecialization rekeying the query-service cache,
+// and the tree-walk fallback on register overflow. Broad value/trace/error
+// parity with the tree walk
 // lives in tests/differential_test.cc and tests/eval_edge_test.cc.
 
 #include <gtest/gtest.h>
@@ -79,6 +81,30 @@ Result<std::vector<PathOutcome>> EnumerateVm(
     if (!chooser.Advance()) {
       break;
     }
+  }
+  return outcomes;
+}
+
+// The fork-at-choice driver of Evaluator::EnumerateUncached: path 0 runs
+// from the entry, every later path resumes from the snapshot of the choice
+// Advance() moved.
+Result<std::vector<PathOutcome>> EnumerateVmForked(
+    BytecodeInterpreter& vm, eval_internal::EnumeratingChooser& chooser,
+    const std::string& entry, const std::vector<Value>& args) {
+  std::vector<PathOutcome> outcomes;
+  vm.EnableForking(chooser);
+  vm.Reset();
+  ECLARITY_ASSIGN_OR_RETURN(Value value, vm.CallByName(entry, args));
+  for (;;) {
+    PathOutcome o;
+    o.value_fp = Fingerprint(value);
+    o.probability_bits = Bits(chooser.probability());
+    o.assignments = chooser.assignments();
+    outcomes.push_back(std::move(o));
+    if (!chooser.Advance()) {
+      break;
+    }
+    ECLARITY_ASSIGN_OR_RETURN(value, vm.Resume());
   }
   return outcomes;
 }
@@ -208,6 +234,94 @@ interface inner(x) {
     EXPECT_EQ(Bits((*reference)[i].probability),
               (*first)[i].probability_bits);
   }
+}
+
+TEST(BytecodeInterpreterTest, ForkedEnumerationMatchesReplay) {
+  // Draws in nested calls, in a loop, and under dynamic supports: resuming
+  // from snapshots must reproduce the replay-from-the-entry sweep exactly,
+  // twice over the same (reused) snapshot storage.
+  const Program program = MustParse(R"(
+interface outer(x) {
+  ecv a ~ bernoulli(0.5);
+  let mut acc = middle(x) + (a ? 1mJ : 2mJ);
+  for i in 0..3 {
+    ecv s ~ uniform_int(0, i);
+    acc = acc + s * 1uJ;
+  }
+  return acc;
+}
+interface middle(x) {
+  ecv b ~ bernoulli(0.25);
+  ecv t ~ categorical(1: 0.5, pick(x): 0.5);
+  return inner(x + t) * (b ? 2 : 3);
+}
+interface pick(x) {
+  ecv d ~ bernoulli(0.5);
+  return d ? x : x + 1;
+}
+interface inner(x) {
+  ecv c ~ uniform_int(0, 2);
+  return x * 1mJ + c * 10uJ;
+}
+)");
+  const EvalOptions options;
+  const LoweredProgram lowered =
+      LoweredProgram::Lower(program, options.max_ecv_support);
+  const auto bc = MustCompile(lowered);
+  const std::vector<Value> args = {Value::Number(3)};
+  const EcvProfile profile;
+  eval_internal::EnumeratingChooser replay_chooser;
+  BytecodeInterpreter replay_vm(*bc, options, profile, replay_chooser);
+  auto replayed = EnumerateVm(replay_vm, replay_chooser, "outer", args);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  ASSERT_GT(replayed->size(), 100u);
+
+  eval_internal::EnumeratingChooser chooser;
+  BytecodeInterpreter vm(*bc, options, profile, chooser);
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    SCOPED_TRACE("sweep " + std::to_string(sweep));
+    auto forked = EnumerateVmForked(vm, chooser, "outer", args);
+    ASSERT_TRUE(forked.ok()) << forked.status().ToString();
+    ExpectSameOutcomes(*forked, *replayed);
+  }
+}
+
+TEST(BytecodeInterpreterTest, ForkPastSnapshotBudgetReplaysFromDeepest) {
+  // The first path draws 20000 single-outcome ECVs before three binary
+  // ones, so the snapshots stop (kForkBudgetValues) long before the choices
+  // the later paths change: each resumes from the deepest snapshot and
+  // replays the recorded choices after it.
+  const Program program = MustParse(R"(
+interface f(n) {
+  let mut acc = 0J;
+  for i in 0..n {
+    ecv one ~ categorical(1: 1.0);
+    acc = acc + one * 1nJ;
+  }
+  ecv a ~ bernoulli(0.5);
+  ecv b ~ bernoulli(0.25);
+  ecv c ~ bernoulli(0.125);
+  return acc + (a ? 1mJ : 2mJ) + (b ? 10mJ : 20mJ) + (c ? 100mJ : 200mJ);
+}
+)");
+  const EvalOptions options;
+  const LoweredProgram lowered =
+      LoweredProgram::Lower(program, options.max_ecv_support);
+  const auto bc = MustCompile(lowered);
+  const std::vector<Value> args = {Value::Number(20000)};
+  const EcvProfile profile;
+  eval_internal::EnumeratingChooser replay_chooser;
+  BytecodeInterpreter replay_vm(*bc, options, profile, replay_chooser);
+  auto replayed = EnumerateVm(replay_vm, replay_chooser, "f", args);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  ASSERT_EQ(replayed->size(), 8u);
+  ASSERT_EQ(replayed->front().assignments.size(), 20003u);
+
+  eval_internal::EnumeratingChooser chooser;
+  BytecodeInterpreter vm(*bc, options, profile, chooser);
+  auto forked = EnumerateVmForked(vm, chooser, "f", args);
+  ASSERT_TRUE(forked.ok()) << forked.status().ToString();
+  ExpectSameOutcomes(*forked, *replayed);
 }
 
 TEST(BytecodeSpecializationTest, PrepareSpecializedSwapsFingerprint) {

@@ -415,6 +415,40 @@ interface f(x) {
   EXPECT_EQ(cold.enum_cache_hits(), 0u);
 }
 
+TEST(EvalEdgeTest, FoldOnlyEnumerationNeverEntersTheCache) {
+  // ExpectedEnergy enumerates without assignments; a later Enumerate() of
+  // the same key must not be served that entry.
+  const Program p = MustParse(R"(
+interface f(x) {
+  ecv hit ~ bernoulli(0.5);
+  ecv tier ~ uniform_int(1, 2);
+  return hit ? 1mJ * x * tier : 3mJ * x;
+}
+)");
+  Evaluator cached(p);  // default engine, cache enabled
+  EvalOptions cold_options;
+  cold_options.enum_cache_capacity = 0;
+  Evaluator cold(p, cold_options);
+  const std::vector<Value> args = {Value::Number(2.0)};
+  ASSERT_TRUE(cached.ExpectedEnergy("f", args, {}).ok());
+  auto after_fold = cached.Enumerate("f", args, {});
+  auto reference = cold.Enumerate("f", args, {});
+  ASSERT_TRUE(after_fold.ok() && reference.ok());
+  ASSERT_EQ(after_fold->size(), reference->size());
+  for (size_t i = 0; i < reference->size(); ++i) {
+    EXPECT_FALSE((*reference)[i].ecv_assignments.empty());
+    EXPECT_EQ((*after_fold)[i].ecv_assignments,
+              (*reference)[i].ecv_assignments);
+  }
+  // The fold-only lookup missed and stored nothing; Enumerate() missed too.
+  EXPECT_EQ(cached.enum_cache_hits(), 0u);
+  EXPECT_EQ(cached.enum_cache_misses(), 2u);
+  // A full enumeration is stored, and serves a later fold-only lookup.
+  auto dist = cached.EnumerateForFold("f", args, {});
+  ASSERT_TRUE(dist.ok());
+  EXPECT_EQ(cached.enum_cache_hits(), 1u);
+}
+
 TEST(EvalEdgeTest, CacheKeyDistinguishesArguments) {
   const Program p = MustParse(R"(
 interface f(x) {
